@@ -1,9 +1,11 @@
-"""Constructing a code: one full scan, 16n^3 buckets, pick the biggest.
+"""Constructing a code: count all 16n^3 classes, pick the biggest.
 
 Every n-bit word (minus the two constant ones) lands in exactly one
 residue class (wt mod 4, f1 mod 2n, f2 mod 2n^2).  The biggest class is
 the code; pigeonhole says it holds at least (2^n - 2) / 16n^3 words, so
-its redundancy stays within 3 log2(n) + 4.
+its redundancy stays within 3 log2(n) + 4.  The class sizes are the
+coefficients of prod_i (1 + t^(1, i, i(i+1)/2)), so n passes over the
+16n^3 counters find them all without visiting a single word.
 """
 
 import time
@@ -30,6 +32,7 @@ for row in redundancy_table([8, 12, 16, 20, 24]):
     )
 print()
 
-start = time.perf_counter()
-choose_params(24)
-print(f"the full 2^24 scan takes {time.perf_counter() - start:.2f}s single-threaded")
+for n in (24, 48):
+    start = time.perf_counter()
+    choose_params(n)
+    print(f"counting all {16 * n**3} classes at n={n} takes {time.perf_counter() - start:.3f}s")

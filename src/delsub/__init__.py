@@ -4,9 +4,10 @@ A class of n-bit words is pinned by three residues: the weight mod 4,
 the VT checksum mod 2n and its second-order analogue mod 2n^2.  Any
 received (n-1)-bit word then lies in the corruption ball of at most two
 class members, and the largest class at each length keeps the redundancy
-within 3 log2(n) + 4.  The package constructs such classes by full-scan
-bucket counting, list-decodes received words, and verifies the combinatorial
-guarantees exhaustively at small lengths.
+within 3 log2(n) + 4.  The package counts all classes with a dynamic
+program over positions, lists a class's members by backward reachability,
+list-decodes received words, and verifies the combinatorial guarantees
+exhaustively at small lengths.
 """
 
 from .channel import (
@@ -23,6 +24,7 @@ from .channel import (
     iter_events,
 )
 from .code import (
+    ENUMERATION_BYTE_CAP,
     SCAN_CEILING,
     CodeParams,
     CodeStats,

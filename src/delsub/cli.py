@@ -2,15 +2,14 @@
 
 Every subcommand takes --format json|text (default json) and emits a
 single document on stdout.  Exit codes: 0 success, 1 a check failed,
-2 usage error.  DELSUB_WORKERS sets the default worker count for the
-scan-heavy paths.
+2 usage error.  The --workers option and the DELSUB_WORKERS variable are
+accepted and ignored: counting and enumeration run in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -20,15 +19,6 @@ from .decoder import list_decode
 from .scenarios import replay
 from .verifier import ALL_CHECKS, DEFAULT_CHECKS, full_report, redundancy_table, smoke_report
 from .words import Word
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("DELSUB_WORKERS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"DELSUB_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _parse_params(text: str) -> tuple[int, int, int]:
@@ -58,7 +48,7 @@ def _emit(doc, fmt: str, text_lines: list[str] | None = None) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    p, stats = choose_params(args.n, workers=args.workers)
+    p, stats = choose_params(args.n)
     doc = {
         "n": p.n,
         "c0": p.c0,
@@ -126,7 +116,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             params,
             samples=args.smoke,
             seed=args.seed if args.seed is not None else 0,
-            workers=args.workers,
         )
     else:
         checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
@@ -134,7 +123,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args.n,
             params,
             checks=checks,
-            workers=args.workers,
             max_collisions=args.max_collisions,
             timing=args.timing,
         )
@@ -145,7 +133,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     ns = [int(v) for v in args.n_list.split(",") if v]
-    rows = redundancy_table(ns, workers=args.workers)
+    if not ns:
+        raise ValueError(f"--n-list needs at least one length, got {args.n_list!r}")
+    rows = redundancy_table(ns)
     doc = [
         {
             "n": r.n,
@@ -188,7 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, workers: bool = False) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if workers:
-            p.add_argument("--workers", type=int, default=_default_workers())
+            p.add_argument(
+                "--workers",
+                type=int,
+                help="no-op, kept for existing scripts: the work runs in one thread",
+            )
 
     p = sub.add_parser("construct", help="pick the largest residue class at length n")
     p.add_argument("--n", type=int, required=True)

@@ -1,9 +1,8 @@
-"""The residue-class code family and its exhaustive construction scan."""
+"""The residue-class code family: class counting and member enumeration."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -14,6 +13,7 @@ from .words import Word
 
 __all__ = [
     "SCAN_CEILING",
+    "ENUMERATION_BYTE_CAP",
     "CodeParams",
     "CodeStats",
     "params_from_bucket",
@@ -27,9 +27,17 @@ __all__ = [
     "redundancy",
 ]
 
-# Full 2^n scans are supported up to here.  n <= 28 is comfortable
-# single-threaded; 29..32 want several workers and some patience.
-SCAN_CEILING = 32
+# Class counts are exact int64 up to here: every count, and their total
+# 2^n - 2, stays below 2^63.
+SCAN_CEILING = 62
+
+# codeword_values refuses a class whose reachability table (n * 16n^3
+# bytes) and member arrays would together pass this many bytes.
+ENUMERATION_BYTE_CAP = 1 << 29
+# Peak working bytes per prefix of the last (widest) level: packed values
+# and flat states of the level, of its two-way expansion and of the
+# residue arithmetic in between (82 measured with tracemalloc).
+_BYTES_PER_PREFIX = 96
 
 
 @dataclass(frozen=True)
@@ -118,99 +126,18 @@ def is_codeword(x: Word, p: CodeParams) -> bool:
     return matches_value(p, x.value)
 
 
-def _half_tables(bit_count: int, top_position: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pattern (wt, f1, f2) over all 2^bit_count patterns.
-
-    Bit j (LSB first) of a pattern carries word position top_position - j.
-    """
-    size = 1 << bit_count
-    idx = np.arange(size, dtype=np.uint32)
-    wt = np.zeros(size, dtype=np.int32)
-    f1 = np.zeros(size, dtype=np.int32)
-    f2 = np.zeros(size, dtype=np.int32)
-    for j in range(bit_count):
-        i = top_position - j
-        mask = ((idx >> j) & 1).astype(np.int32)
-        wt += mask
-        f1 += mask * i
-        f2 += mask * (i * (i + 1) // 2)
-    return wt, f1, f2
-
-
 def _check_scan_n(n: int) -> None:
     if not 2 <= n <= SCAN_CEILING:
-        raise ValueError(f"full scan supports 2 <= n <= {SCAN_CEILING}, got {n}")
+        raise ValueError(f"class counting supports 2 <= n <= {SCAN_CEILING}, got {n}")
 
 
-def _hi_lo_split(n: int) -> tuple[int, int]:
-    a = n // 2
-    return a, n - a
+def _table_shape(n: int) -> tuple[int, int, int]:
+    return 4, 2 * n, 2 * n * n
 
 
-def _bucket_counts_blocked(n: int, workers: int) -> np.ndarray:
-    """Count all 16n^3 residue classes by combining two half-word tables.
-
-    Words split into a high half (positions 1..a) and a low half; the
-    syndrome of a word is the sum of its halves' contributions, so one
-    broadcast add per chunk covers 2^a x 2^b words at vector speed.
-    """
-    a, b = _hi_lo_split(n)
-    wt_hi, f1_hi, f2_hi = _half_tables(a, a)
-    wt_lo, f1_lo, f2_lo = _half_tables(b, n)
-    m1 = 2 * n
-    m2 = 2 * n * n
-    buckets = 4 * m1 * m2
-    rows_per_chunk = max(1, (1 << 22) >> b)
-
-    def scan(lo_row: int, hi_row: int) -> np.ndarray:
-        counts = np.zeros(buckets, dtype=np.int64)
-        for r0 in range(lo_row, hi_row, rows_per_chunk):
-            r1 = min(r0 + rows_per_chunk, hi_row)
-            c0 = (wt_hi[r0:r1, None] + wt_lo[None, :]) & 3
-            c1 = (f1_hi[r0:r1, None] + f1_lo[None, :]) % m1
-            c2 = (f2_hi[r0:r1, None] + f2_lo[None, :]) % m2
-            idx = (c0 * m1 + c1) * m2 + c2
-            counts += np.bincount(idx.ravel(), minlength=buckets)
-        return counts
-
-    if workers <= 1:
-        return scan(0, 1 << a)
-    bounds = np.linspace(0, 1 << a, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: scan(*r), zip(bounds[:-1], bounds[1:])))
-    total = np.zeros(buckets, dtype=np.int64)
-    for part in parts:
-        total += part  # exact integer merge: order-independent
-    return total
-
-
-def _bucket_counts_gray(n: int) -> np.ndarray:
-    """Reference scan visiting words in Gray-code order.
-
-    Each step flips one bit, so (wt, f1, f2) move by (+-1, +-i, +-i(i+1)/2)
-    for the flipped position i.  Slower than the blocked scan but checkable
-    against it, and the incremental updates are exercised on every word.
-    """
-    m1 = 2 * n
-    m2 = 2 * n * n
-    counts = [0] * (4 * m1 * m2)
-    counts[0] = 1  # word 0^n, visited at step 0
-    wt = f1 = f2 = 0
-    g = 0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        g ^= 1 << bit
-        i = n - bit
-        if g >> bit & 1:
-            wt += 1
-            f1 += i
-            f2 += i * (i + 1) >> 1
-        else:
-            wt -= 1
-            f1 -= i
-            f2 -= i * (i + 1) >> 1
-        counts[((wt & 3) * m1 + f1 % m1) * m2 + f2 % m2] += 1
-    return np.asarray(counts, dtype=np.int64)
+def _position_shift(i: int) -> tuple[int, int, int]:
+    """What a 1 at position i adds to (wt, f1, f2)."""
+    return 1, i, i * (i + 1) // 2
 
 
 def _strip_constant_words(counts: np.ndarray, n: int) -> None:
@@ -222,78 +149,92 @@ def _strip_constant_words(counts: np.ndarray, n: int) -> None:
     counts[((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)] -= 1
 
 
-def bucket_counts(n: int, *, engine: str = "blocked", workers: int = 1) -> np.ndarray:
+def bucket_counts(n: int) -> np.ndarray:
     """Size of every residue class, the two constant words excluded.
 
     The flat layout is index = (c0 * 2n + c1) * 2n^2 + c2, so ascending
-    index order is lexicographic (c0, c1, c2) order.
+    index order is lexicographic (c0, c1, c2) order.  The sizes are the
+    coefficients of prod_i (1 + t^(1, i, i(i+1)/2)) over Z4 x Z2n x Z2n^2,
+    found in n passes over the 16n^3 cells with no scan of {0,1}^n.
     """
     _check_scan_n(n)
-    if engine == "blocked":
-        counts = _bucket_counts_blocked(n, workers)
-    elif engine == "gray":
-        counts = _bucket_counts_gray(n)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected 'blocked' or 'gray'")
+    table = np.zeros(_table_shape(n), dtype=np.int64)
+    table[0, 0, 0] = 1  # the empty word
+    for i in range(1, n + 1):
+        # Factor i: every word so far either leaves position i at 0 or adds its shift.
+        table += np.roll(table, _position_shift(i), axis=(0, 1, 2))
+    counts = table.ravel()
     _strip_constant_words(counts, n)
     return counts
 
 
-def choose_params(
-    n: int, *, workers: int = 1, engine: str = "blocked"
-) -> tuple[CodeParams, CodeStats]:
+def choose_params(n: int) -> tuple[CodeParams, CodeStats]:
     """Largest residue class at length n; ties break to the smallest triple.
 
-    One full scan of {0,1}^n bucket-counts the 16n^3 classes, so the
-    winner holds at least (2^n - 2) / 16n^3 words.  The result does not
-    depend on the worker count.
+    The 16n^3 classes partition {0,1}^n minus the constant words, so the
+    winner holds at least (2^n - 2) / 16n^3 words.
     """
-    counts = bucket_counts(n, engine=engine, workers=workers)
+    counts = bucket_counts(n)
     best = int(np.argmax(counts))  # first maximum = smallest (c0, c1, c2)
     return params_from_bucket(n, best), CodeStats(n, int(counts[best]))
 
 
-def codeword_values(p: CodeParams, *, workers: int = 1) -> np.ndarray:
-    """All members of the class as packed values, ascending."""
+def _reachability(p: CodeParams) -> np.ndarray:
+    """Backward reachability table, one row per prefix length.
+
+    Row k - 1 marks the flat residue states that positions 1..k may leave
+    and that some choice of positions k+1..n still carries to p's triple.
+    """
     n = p.n
-    _check_scan_n(n)
-    a, b = _hi_lo_split(n)
-    wt_hi, f1_hi, f2_hi = _half_tables(a, a)
-    wt_lo, f1_lo, f2_lo = _half_tables(b, n)
+    reach = np.zeros((n,) + _table_shape(n), dtype=bool)
+    reach[n - 1][p.c0, p.c1, p.c2] = True
+    for k in range(n - 1, 0, -1):
+        back = tuple(-v for v in _position_shift(k + 1))
+        np.logical_or(reach[k], np.roll(reach[k], back, axis=(0, 1, 2)), out=reach[k - 1])
+    return reach.reshape(n, -1)
+
+
+def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Flat residue states after a 1 is placed at position i."""
     m1 = 2 * n
     m2 = 2 * n * n
-    rows_per_chunk = max(1, (1 << 22) >> b)
+    wt, rest = np.divmod(state, m1 * m2)
+    f1, f2 = np.divmod(rest, m2)
+    _, d1, d2 = _position_shift(i)
+    return (((wt + 1) & 3) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
 
-    def scan(lo_row: int, hi_row: int) -> list[np.ndarray]:
-        parts = []
-        for r0 in range(lo_row, hi_row, rows_per_chunk):
-            r1 = min(r0 + rows_per_chunk, hi_row)
-            hit = (
-                ((wt_hi[r0:r1, None] + wt_lo[None, :]) & 3 == p.c0)
-                & ((f1_hi[r0:r1, None] + f1_lo[None, :]) % m1 == p.c1)
-                & ((f2_hi[r0:r1, None] + f2_lo[None, :]) % m2 == p.c2)
-            )
-            rows, cols = np.nonzero(hit)
-            if rows.size:
-                parts.append(((rows.astype(np.uint64) + r0) << b) | cols.astype(np.uint64))
-        return parts
 
-    if workers <= 1:
-        parts = scan(0, 1 << a)
-    else:
-        bounds = np.linspace(0, 1 << a, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda r: scan(*r), zip(bounds[:-1], bounds[1:])))
-        parts = [arr for chunk in chunks for arr in chunk]
+def codeword_values(p: CodeParams) -> np.ndarray:
+    """All members of the class as packed values, ascending.
 
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    values = np.concatenate(parts)  # ascending: chunks are scanned in order
+    Prefixes grow one position at a time, 0 before 1, and a prefix is kept
+    only when the reachability table says some suffix completes it into the
+    class; so every level holds at most the class size plus the two constant
+    words, and values stay in ascending order.
+    """
+    n = p.n
+    _check_scan_n(n)
+    size = int(bucket_counts(n)[p.bucket_index])
+    need = n * 16 * n**3 + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
+    if need > ENUMERATION_BYTE_CAP:
+        raise ValueError(
+            f"listing the {size} members of {p} needs about {need} bytes, "
+            f"over the {ENUMERATION_BYTE_CAP}-byte cap"
+        )
+    reach = _reachability(p)
+    values = np.zeros(1, dtype=np.uint64)
+    state = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        state = np.stack((state, _set_position(state, n, k)), axis=1).ravel()
+        keep = reach[k - 1][state]
+        state = state[keep]
+        twice = values << 1
+        values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
     top = np.uint64((1 << n) - 1)
     return values[(values != 0) & (values != top)]
 
 
-def enumerate_code(p: CodeParams, *, workers: int = 1) -> Iterator[Word]:
+def enumerate_code(p: CodeParams) -> Iterator[Word]:
     """Codewords in ascending numeric order (position 1 = most significant bit)."""
-    for v in codeword_values(p, workers=workers):
+    for v in codeword_values(p):
         yield Word(p.n, int(v))

@@ -12,12 +12,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .channel import (
     WEIGHT_DELTA_TABLE,
@@ -93,8 +90,7 @@ def _ball_values(x: int, n: int) -> set[int]:
 
 
 def _add_cover(cover: dict[int, tuple[int, ...]], y: int, x: int) -> None:
-    # Keep the three smallest covering codewords: enough to tell 2 from
-    # broken, and independent of scan partitioning.
+    # Keep the three smallest covering codewords: enough to tell 2 from broken.
     cur = cover.get(y)
     if cur is None:
         cover[y] = (x,)
@@ -102,28 +98,13 @@ def _add_cover(cover: dict[int, tuple[int, ...]], y: int, x: int) -> None:
         cover[y] = tuple(sorted(cur + (x,)))[:3]
 
 
-def _coverage(values: Sequence[int], n: int, workers: int) -> dict[int, tuple[int, ...]]:
+def _coverage(values: Sequence[int], n: int) -> dict[int, tuple[int, ...]]:
     """Received value -> covering codewords (three smallest kept)."""
-
-    def scan(chunk: Sequence[int]) -> dict[int, tuple[int, ...]]:
-        cov: dict[int, tuple[int, ...]] = {}
-        for x in chunk:
-            for y in _ball_values(x, n):
-                _add_cover(cov, y, x)
-        return cov
-
-    vals = [int(v) for v in values]
-    if workers <= 1:
-        return scan(vals)
-    bounds = np.linspace(0, len(vals), workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(scan, [vals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
-    merged: dict[int, tuple[int, ...]] = {}
-    for part in parts:
-        for y, xs in part.items():
-            for x in xs:
-                _add_cover(merged, y, x)
-    return merged
+    cover: dict[int, tuple[int, ...]] = {}
+    for x in map(int, values):
+        for y in _ball_values(x, n):
+            _add_cover(cover, y, x)
+    return cover
 
 
 def _check_verify_n(n: int) -> None:
@@ -151,9 +132,7 @@ def _collisions(
     return count, records
 
 
-def verify_list_size(
-    p: CodeParams, *, workers: int = 1, max_collisions: int = 100
-) -> VerifyReport:
+def verify_list_size(p: CodeParams, *, max_collisions: int = 100) -> VerifyReport:
     """Intersect every codeword's corruption ball; report the worst overlap.
 
     max_list_size <= 2 is the pass condition.  Collision records are
@@ -161,8 +140,8 @@ def verify_list_size(
     """
     _check_verify_n(p.n)
     start = time.perf_counter()
-    values = codeword_values(p, workers=workers)
-    cover = _coverage(values, p.n, workers)
+    values = codeword_values(p)
+    cover = _coverage(values, p.n)
     stats = CodeStats(p.n, len(values))
     count, records = _collisions(cover, p.n, max_collisions)
     report = VerifyReport(
@@ -234,7 +213,7 @@ class CollisionOrderingResult:
     deleted_symbol_mismatches: int  # witness pairs with x_{d1} != x'_{d2}
 
 
-def verify_collision_ordering(p: CodeParams, *, workers: int = 1) -> CollisionOrderingResult:
+def verify_collision_ordering(p: CodeParams) -> CollisionOrderingResult:
     """Check every collision of the class against the required interleaving.
 
     For each pair of codewords reaching a common received word, every
@@ -243,8 +222,7 @@ def verify_collision_ordering(p: CodeParams, *, workers: int = 1) -> CollisionOr
     the two weights must be equal.
     """
     _check_verify_n(p.n)
-    values = codeword_values(p, workers=workers)
-    cover = _coverage(values, p.n, workers)
+    cover = _coverage(codeword_values(p), p.n)
     n = p.n
     collisions = pairs = violations = wt_bad = del_bad = 0
     case_counts: dict[str, int] = {}
@@ -413,11 +391,11 @@ class RedundancyRow:
     margin: float  # bound - redundancy; negative would break the guarantee
 
 
-def redundancy_table(n_list: Iterable[int], *, workers: int = 1) -> list[RedundancyRow]:
+def redundancy_table(n_list: Iterable[int]) -> list[RedundancyRow]:
     """Best-class redundancy against the 3 log2 n + 4 guarantee, one row per n."""
     rows = []
     for n in n_list:
-        _, stats = choose_params(n, workers=workers)
+        _, stats = choose_params(n)
         r = redundancy(stats)
         bound = 3 * math.log2(n) + 4
         rows.append(RedundancyRow(n, stats.size, r, bound, bound - r))
@@ -499,7 +477,6 @@ def full_report(
     params: CodeParams | None = None,
     *,
     checks: Sequence[str] = DEFAULT_CHECKS,
-    workers: int = 1,
     max_collisions: int = 100,
     timing: bool = False,
 ) -> tuple[dict, bool]:
@@ -511,10 +488,12 @@ def full_report(
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
+    if max_collisions < 0:
+        raise ValueError(f"max_collisions must be >= 0, got {max_collisions}")
     start = time.perf_counter()
     auto = params is None
     if auto:
-        params, _ = choose_params(n, workers=workers)
+        params, _ = choose_params(n)
     elif params.n != n:
         raise ValueError(f"params are for n={params.n}, not n={n}")
 
@@ -538,7 +517,7 @@ def full_report(
     passed = True
 
     if "list2" in checks:
-        r = verify_list_size(params, workers=workers, max_collisions=max_collisions)
+        r = verify_list_size(params, max_collisions=max_collisions)
         report["max_list_size"] = r.max_list_size
         report["collision_count"] = r.collision_count
         report["collision_pairs"] = [
@@ -555,7 +534,7 @@ def full_report(
         ]
         passed &= r.max_list_size <= 2
     if "lemma2" in checks:
-        r = verify_collision_ordering(params, workers=workers)
+        r = verify_collision_ordering(params)
         report["lemma2_violations"] = r.violations
         report["lemma2_cases"] = dict(sorted(r.case_counts.items()))
         report["lemma2_weight_mismatches"] = r.weight_mismatches
@@ -592,7 +571,6 @@ def smoke_report(
     *,
     samples: int = 20,
     seed: int = 0,
-    workers: int = 1,
 ) -> tuple[dict, bool]:
     """Sampled spot checks where full ball coverage is not worth the wait.
 
@@ -603,10 +581,10 @@ def smoke_report(
     rng = random.Random(seed)
     auto = params is None
     if auto:
-        params, _ = choose_params(n, workers=workers)
+        params, _ = choose_params(n)
     elif params.n != n:
         raise ValueError(f"params are for n={params.n}, not n={n}")
-    members = [int(v) for v in codeword_values(params, workers=workers)]
+    members = [int(v) for v in codeword_values(params)]
     decode_trials = completeness_failures = bound_failures = 0
     max_list_seen = 0
 

@@ -171,7 +171,7 @@ def test_criterion_8_single_deletion_correction():
 def test_criterion_9_scan_performance_and_determinism(capsys):
     """The n=24 construction scan fits in 60 s single-threaded and is worker-stable."""
     start = time.perf_counter()
-    single = choose_params(24, workers=1)
+    single = choose_params(24)
     elapsed = time.perf_counter() - start
     _BEST[24] = single
 

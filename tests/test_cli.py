@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -47,6 +48,18 @@ def test_construct_text_format(capsys):
     code, out, _ = run(capsys, "construct", "--n", "8", "--format", "text")
     assert code == 0
     assert out.startswith("n=8 params=(")
+
+
+def test_construct_up_to_the_ceiling(capsys):
+    code, doc = run_json(capsys, "construct", "--n", "62")
+    assert code == 0
+    assert doc["n"] == 62 and doc["size"] >= math.ceil((2**62 - 2) / (16 * 62**3))
+
+
+def test_construct_above_the_ceiling_is_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "--n", "63")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_workers_env_default(capsys, monkeypatch):
@@ -201,6 +214,19 @@ def test_verify_smoke_mode(capsys):
     assert doc2 == doc
 
 
+def test_verify_smoke_mode_above_the_full_check_range(capsys):
+    code, doc = run_json(capsys, "verify", "--smoke", "20", "--n", "36")
+    assert code == 0
+    assert doc["mode"] == "smoke" and doc["n"] == 36 and doc["pass"] is True
+    assert doc["decode_trials"] == 20
+
+
+def test_verify_negative_max_collisions_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "8", "--max-collisions", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--n", "8", "--checks", "list2,nope")
     assert code == 2 and "unknown checks" in err
@@ -217,6 +243,12 @@ def test_table_rows(capsys):
         assert set(row) == {"n", "size", "redundancy", "bound", "margin"}
         assert row["margin"] >= 0
     assert doc[2]["bound"] == 16.0
+
+
+def test_table_empty_n_list_is_usage_error(capsys):
+    code, out, err = run(capsys, "table", "--n-list", ",")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_table_text_format(capsys):

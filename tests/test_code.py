@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import (
+    ENUMERATION_BYTE_CAP,
     SCAN_CEILING,
     CodeParams,
     CodeStats,
@@ -15,6 +17,7 @@ from delsub import (
     codeword_values,
     enumerate_code,
     is_codeword,
+    matches_value,
     params_from_bucket,
     params_of,
     redundancy,
@@ -28,6 +31,52 @@ W = Word.from_text
 def words(draw, min_n=2, max_n=16):
     n = draw(st.integers(min_n, max_n))
     return Word(n, draw(st.integers(0, (1 << n) - 1)))
+
+
+def _gray_counts(n):
+    """Oracle: visit {0,1}^n in Gray-code order, one bit flip per step.
+
+    Each step flips one bit, so (wt, f1, f2) move by (+-1, +-i, +-i(i+1)/2)
+    for the flipped position i; the incremental updates are exercised on
+    every word and share nothing with the dynamic program under test.
+    """
+    m1 = 2 * n
+    m2 = 2 * n * n
+    counts = [0] * (4 * m1 * m2)
+    counts[0] = 1  # word 0^n, visited at step 0
+    wt = f1 = f2 = 0
+    g = 0
+    for k in range(1, 1 << n):
+        bit = (k & -k).bit_length() - 1
+        g ^= 1 << bit
+        i = n - bit
+        if g >> bit & 1:
+            wt += 1
+            f1 += i
+            f2 += i * (i + 1) >> 1
+        else:
+            wt -= 1
+            f1 -= i
+            f2 -= i * (i + 1) >> 1
+        counts[((wt & 3) * m1 + f1 % m1) * m2 + f2 % m2] += 1
+    # The constant words 0^n and 1^n belong to no class.
+    counts[0] -= 1
+    counts[((n & 3) * m1 + n * (n + 1) // 2 % m1) * m2 + n * (n + 1) * (n + 2) // 6 % m2] -= 1
+    return np.asarray(counts, dtype=np.int64)
+
+
+def _arange_classes(n):
+    """Oracle: flat class index of every value in range(2^n), by numpy."""
+    values = np.arange(1 << n, dtype=np.int64)
+    wt = np.zeros_like(values)
+    f1 = np.zeros_like(values)
+    f2 = np.zeros_like(values)
+    for i in range(1, n + 1):
+        bit = (values >> (n - i)) & 1
+        wt += bit
+        f1 += bit * i
+        f2 += bit * (i * (i + 1) // 2)
+    return ((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)
 
 
 # --- params and membership -------------------------------------------------
@@ -82,8 +131,25 @@ def test_partition_sums_to_all_nonconstant_words():
 
 
 def test_scan_engines_agree_exhaustively():
-    for n in range(2, 15):
-        assert np.array_equal(bucket_counts(n), bucket_counts(n, engine="gray"))
+    for n in range(2, 17):
+        assert np.array_equal(bucket_counts(n), _gray_counts(n))
+
+
+def test_counts_and_members_match_arange_scan_at_18():
+    n = 18
+    classes = _arange_classes(n)
+    classes = classes[1:-1]  # the constant words belong to no class
+    expected = np.bincount(classes, minlength=16 * n**3)
+    assert np.array_equal(bucket_counts(n), expected)
+    p, stats = choose_params(n)
+    members = np.flatnonzero(classes == p.bucket_index) + 1
+    assert stats.size == members.size
+    assert np.array_equal(codeword_values(p), members.astype(np.uint64))
+
+
+def test_counts_stay_exact_up_to_the_ceiling():
+    for n in (40, SCAN_CEILING):
+        assert bucket_counts(n).sum() == 2**n - 2
 
 
 def test_scan_rejects_out_of_range_n():
@@ -91,8 +157,6 @@ def test_scan_rejects_out_of_range_n():
         bucket_counts(SCAN_CEILING + 1)
     with pytest.raises(ValueError):
         choose_params(1)
-    with pytest.raises(ValueError):
-        bucket_counts(8, engine="fft")
 
 
 @given(words(max_n=24), st.data())
@@ -129,9 +193,10 @@ def test_choose_params_tie_break_is_first_maximum():
 
 def test_choose_params_worker_and_engine_invariance():
     reference = choose_params(12)
-    for workers in (2, 3, 5):
-        assert choose_params(12, workers=workers) == reference
-    assert choose_params(12, engine="gray") == reference
+    assert choose_params(12) == reference
+    oracle = _gray_counts(12)
+    best = int(np.argmax(oracle))
+    assert reference == (params_from_bucket(12, best), CodeStats(12, int(oracle[best])))
 
 
 # --- enumeration ------------------------------------------------------------
@@ -160,8 +225,31 @@ def test_enumerate_skips_constant_words():
 def test_codeword_values_worker_invariance():
     p, _ = choose_params(12)
     reference = codeword_values(p)
-    for workers in (2, 3):
-        assert np.array_equal(codeword_values(p, workers=workers), reference)
+    assert np.array_equal(codeword_values(p), reference)
+    assert reference.tolist() == [v for v in range(1 << 12) if matches_value(p, v)]
+
+
+@settings(deadline=None)
+@given(st.integers(2, 14), st.data())
+def test_codeword_values_match_membership_filter(n, data):
+    p = params_from_bucket(n, data.draw(st.integers(0, 16 * n**3 - 1)))
+    got = codeword_values(p)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [v for v in range(1 << n) if matches_value(p, v)]
+
+
+def test_codeword_values_refuses_a_class_over_the_memory_cap():
+    n = 48
+    p = params_from_bucket(n, 0)
+    assert bucket_counts(n)[0] * 8 > ENUMERATION_BYTE_CAP  # its members alone pass the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            codeword_values(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 16 * n**3  # the reachability table was never allocated
 
 
 def test_class_sizes_match_bucket_counts():
