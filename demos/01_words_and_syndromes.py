@@ -9,9 +9,9 @@ shows the suffix-difference vectors of the bundled scenario pairs.
 from delsub import (
     SCENARIOS,
     Word,
+    params_of,
     sign_segments_ok,
     suffix_diff,
-    syndrome_vector,
     vt_syndrome,
     vt_syndrome_from_suffix_sums,
 )
@@ -22,7 +22,7 @@ for j in (1, 2, 3):
     direct = vt_syndrome(x, j)
     rearranged = vt_syndrome_from_suffix_sums(x, j)
     print(f"f{j}        : {direct}  (suffix-sum route: {rearranged})")
-print(f"residues  : {syndrome_vector(x)}")
+print(f"residues  : {params_of(x)}")
 print()
 
 # Two words agreeing on all three residues are hard to confuse: their

@@ -36,7 +36,6 @@ from .code import (
     matches_value,
     params_from_bucket,
     params_of,
-    redundancy,
 )
 from .decoder import (
     DecodeResult,
@@ -49,13 +48,10 @@ from .decoder import (
 from .scenarios import SCENARIOS, Scenario, ScenarioCheck, replay
 from .syndromes import (
     SuffixDiff,
-    SyndromeVector,
     sign_segments_ok,
     suffix_diff,
-    syndrome_vector,
     vt_syndrome,
     vt_syndrome_from_suffix_sums,
-    weight,
     wt_f1_f2,
 )
 from .verifier import (

@@ -18,6 +18,7 @@ __all__ = [
     "apply_del_sub",
     "iter_events",
     "iter_corruptions",
+    "ball_values",
     "error_ball",
     "classify_weight_delta",
 ]
@@ -113,9 +114,27 @@ def iter_corruptions(x: Word) -> Iterator[tuple[ErrorEvent, Word]]:
         yield ev, Word(x.n - 1, delete_bit(v, x.n, ev.d))
 
 
+def ball_values(value: int, n: int) -> set[int]:
+    """Corruption ball of a packed n-bit value, as packed (n-1)-bit values.
+
+    Flipping position e and then deleting d reaches the same word as
+    deleting d and then flipping e's place in the shorter word, so each
+    deletion result and its n-1 single flips cover the ball.
+    """
+    out: set[int] = set()
+    for d in range(1, n + 1):
+        base = delete_bit(value, n, d)
+        out.add(base)
+        for q in range(n - 1):
+            out.add(base ^ (1 << q))
+    return out
+
+
 def error_ball(x: Word) -> set[Word]:
     """Distinct words reachable by one deletion and at most one substitution."""
-    return {y for _, y in iter_corruptions(x)}
+    if x.n < 2:
+        raise ValueError(f"corruption needs length >= 2, got n={x.n}")
+    return {Word(x.n - 1, y) for y in ball_values(x.value, x.n)}
 
 
 def classify_weight_delta(c0: int, wt_y: int, n: int) -> WeightDeltaClass:

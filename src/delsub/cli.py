@@ -77,12 +77,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    triple = args.params
-    if triple is None:
-        if args.c0 is None or args.c1 is None or args.c2 is None:
-            raise ValueError("decode needs --params c0,c1,c2 (or all of --c0/--c1/--c2)")
-        triple = (args.c0, args.c1, args.c2)
-    p = CodeParams(args.n, *triple)
+    p = CodeParams(args.n, *args.params)
     y = _word(args.word, args.n - 1, "--word (a received word)")
     result = list_decode(y, p)
     doc = {
@@ -118,7 +113,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
     else:
-        checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
+        if args.checks is None:
+            checks = DEFAULT_CHECKS
+        else:
+            checks = tuple(c for c in args.checks.split(",") if c)
         doc, passed = full_report(
             args.n,
             params,
@@ -198,10 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="list-decode a received (n-1)-bit word")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--params", type=_parse_params, metavar="c0,c1,c2")
-    p.add_argument("--c0", type=int)
-    p.add_argument("--c1", type=int)
-    p.add_argument("--c2", type=int)
+    p.add_argument("--params", type=_parse_params, required=True, metavar="c0,c1,c2")
     p.add_argument("--word", required=True)
     common(p)
     p.set_defaults(handler=cmd_decode)

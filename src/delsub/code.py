@@ -24,7 +24,6 @@ __all__ = [
     "choose_params",
     "codeword_values",
     "enumerate_code",
-    "redundancy",
 ]
 
 # Class counts are exact int64 up to here: every count, and their total
@@ -94,13 +93,6 @@ class CodeStats:
         if self.size == 0:
             return None
         return self.n - math.log2(self.size)
-
-
-def redundancy(stats: CodeStats) -> float:
-    """n - log2(size).  Empty classes have no defined redundancy."""
-    if stats.size < 1:
-        raise ValueError("empty code has undefined redundancy")
-    return stats.n - math.log2(stats.size)
 
 
 def params_of(x: Word) -> CodeParams:

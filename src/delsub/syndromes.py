@@ -2,37 +2,20 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .words import Word, get_bit
 
 __all__ = [
-    "SyndromeVector",
     "SuffixDiff",
-    "weight",
     "wt_f1_f2",
     "vt_syndrome",
     "vt_syndrome_from_suffix_sums",
-    "syndrome_vector",
     "suffix_diff",
     "sign_segments_ok",
 ]
 
 SuffixDiff = tuple[int, ...]
-
-
-class SyndromeVector(NamedTuple):
-    """Reduced syndrome triple (wt mod 4, f1 mod 2n, f2 mod 2n^2)."""
-
-    weight_mod4: int
-    f1_mod: int
-    f2_mod: int
-    n: int
-
-
-def weight(x: Word) -> int:
-    """Number of 1-symbols in x."""
-    return x.value.bit_count()
 
 
 def wt_f1_f2(value: int, n: int) -> tuple[int, int, int]:
@@ -85,13 +68,6 @@ def vt_syndrome_from_suffix_sums(x: Word, j: int) -> int:
         suffix += get_bit(x.value, x.n, i)
         total += suffix * i ** (j - 1)
     return total
-
-
-def syndrome_vector(x: Word) -> SyndromeVector:
-    """Canonical nonnegative residues (wt mod 4, f1 mod 2n, f2 mod 2n^2)."""
-    wt, f1, f2 = wt_f1_f2(x.value, x.n)
-    n = x.n
-    return SyndromeVector(wt & 3, f1 % (2 * n), f2 % (2 * n * n), n)
 
 
 def suffix_diff(x: Word, x2: Word) -> SuffixDiff:

@@ -20,10 +20,11 @@ from .channel import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
+    ball_values,
     classify_weight_delta,
     iter_events,
 )
-from .code import CodeParams, CodeStats, choose_params, codeword_values, redundancy
+from .code import CodeParams, CodeStats, choose_params, codeword_values
 from .decoder import DecodeResult, ListBoundError, all_witnesses, list_decode
 from .syndromes import suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
@@ -51,6 +52,22 @@ __all__ = [
 # Ball-coverage checks scan the whole class and its corruption balls.
 VERIFY_CEILING = 28
 
+# Lengths each check supports.  full_report tests every selected check
+# before it counts or lists a class, so an out-of-range request does no work.
+_CHECK_RANGES = {
+    "list2": (2, VERIFY_CEILING),
+    "lemma2": (2, VERIFY_CEILING),
+    "sign": (1, 14),
+    "table1": (2, 12),
+    "deletion": (2, VERIFY_CEILING),
+}
+
+
+def _check_n(check: str, n: int) -> None:
+    lo, hi = _CHECK_RANGES[check]
+    if not lo <= n <= hi:
+        raise ValueError(f"the {check} check supports {lo} <= n <= {hi}, got {n}")
+
 
 @dataclass(frozen=True)
 class Collision:
@@ -65,7 +82,7 @@ class Collision:
 
 @dataclass
 class VerifyReport:
-    """Outcome of the per-class checks; None marks a check that did not run."""
+    """Outcome of the ball-coverage check on one class."""
 
     params: CodeParams
     code_size: int
@@ -73,63 +90,58 @@ class VerifyReport:
     max_list_size: int | None = None
     collision_count: int | None = None
     collision_pairs: list[Collision] = field(default_factory=list)
-    lemma2_violations: int | None = None
-    single_deletion_ok: bool | None = None
     elapsed: float = 0.0
 
 
-def _ball_values(x: int, n: int) -> set[int]:
-    """Corruption ball of a packed value: every deletion, then any one flip."""
-    out: set[int] = set()
-    for d in range(1, n + 1):
-        base = delete_bit(x, n, d)
-        out.add(base)
-        for q in range(n - 1):
-            out.add(base ^ (1 << q))
-    return out
+@dataclass(frozen=True)
+class _Coverage:
+    """One pass over a class's corruption balls."""
+
+    max_list_size: int
+    collisions: list[tuple[int, int, int]]  # (y, x, x') with x < x', ascending
 
 
-def _add_cover(cover: dict[int, tuple[int, ...]], y: int, x: int) -> None:
-    # Keep the three smallest covering codewords: enough to tell 2 from broken.
-    cur = cover.get(y)
-    if cur is None:
-        cover[y] = (x,)
-    elif x not in cur:
-        cover[y] = tuple(sorted(cur + (x,)))[:3]
+def _cover(values: Sequence[int], n: int) -> _Coverage:
+    """Cover every member's ball, then list the colliding (y, x, x') in order.
 
-
-def _coverage(values: Sequence[int], n: int) -> dict[int, tuple[int, ...]]:
-    """Received value -> covering codewords (three smallest kept)."""
+    values must ascend, as codeword_values returns them.  Each received
+    word keeps its first three covering members, which are then the three
+    smallest: enough to tell 2 from broken.
+    """
     cover: dict[int, tuple[int, ...]] = {}
-    for x in map(int, values):
-        for y in _ball_values(x, n):
-            _add_cover(cover, y, x)
-    return cover
-
-
-def _check_verify_n(n: int) -> None:
-    if n > VERIFY_CEILING:
-        raise ValueError(f"ball-coverage checks support n <= {VERIFY_CEILING}, got {n}")
-
-
-def _collisions(
-    cover: dict[int, tuple[int, ...]], n: int, limit: int
-) -> tuple[int, list[Collision]]:
+    for x in values:
+        for y in ball_values(x, n):
+            cur = cover.get(y)
+            if cur is None:
+                cover[y] = (x,)
+            elif len(cur) < 3:
+                cover[y] = cur + (x,)
     hits = sorted((y, xs) for y, xs in cover.items() if len(xs) >= 2)
-    records: list[Collision] = []
-    count = 0
-    for y, xs in hits:
-        yw = Word(n - 1, y)
-        for a, b in combinations(xs, 2):
-            count += 1
-            if len(records) < limit:
-                xa, xb = Word(n, a), Word(n, b)
-                wa = all_witnesses(xa, yw)[0]
-                wb = all_witnesses(xb, yw)[0]
-                if wa.d > wb.d:  # present with d1 <= d2
-                    xa, xb, wa, wb = xb, xa, wb, wa
-                records.append(Collision(xa, xb, yw, wa, wb))
-    return count, records
+    return _Coverage(
+        max((len(xs) for xs in cover.values()), default=0),
+        [(y, a, b) for y, xs in hits for a, b in combinations(xs, 2)],
+    )
+
+
+def _collision_record(n: int, y: int, a: int, b: int) -> Collision:
+    yw = Word(n - 1, y)
+    xa, xb = Word(n, a), Word(n, b)
+    wa = all_witnesses(xa, yw)[0]
+    wb = all_witnesses(xb, yw)[0]
+    if wa.d > wb.d:  # present with d1 <= d2
+        xa, xb, wa, wb = xb, xa, wb, wa
+    return Collision(xa, xb, yw, wa, wb)
+
+
+def _list_size(p: CodeParams, code_size: int, cov: _Coverage, limit: int) -> VerifyReport:
+    return VerifyReport(
+        params=p,
+        code_size=code_size,
+        redundancy=CodeStats(p.n, code_size).redundancy,
+        max_list_size=cov.max_list_size,
+        collision_count=len(cov.collisions),
+        collision_pairs=[_collision_record(p.n, *t) for t in cov.collisions[:limit]],
+    )
 
 
 def verify_list_size(p: CodeParams, *, max_collisions: int = 100) -> VerifyReport:
@@ -138,20 +150,10 @@ def verify_list_size(p: CodeParams, *, max_collisions: int = 100) -> VerifyRepor
     max_list_size <= 2 is the pass condition.  Collision records are
     capped at max_collisions; the count stays exact.
     """
-    _check_verify_n(p.n)
+    _check_n("list2", p.n)
     start = time.perf_counter()
-    values = codeword_values(p)
-    cover = _coverage(values, p.n)
-    stats = CodeStats(p.n, len(values))
-    count, records = _collisions(cover, p.n, max_collisions)
-    report = VerifyReport(
-        params=p,
-        code_size=stats.size,
-        redundancy=stats.redundancy,
-        max_list_size=max((len(xs) for xs in cover.values()), default=0),
-        collision_count=count,
-        collision_pairs=records,
-    )
+    values = codeword_values(p).tolist()
+    report = _list_size(p, len(values), _cover(values, p.n), max_collisions)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -184,20 +186,25 @@ def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
 
 def witness_pair_cases(
     x: Word, x_prime: Word, y: Word
-) -> list[tuple[str, ErrorEvent, ErrorEvent]]:
+) -> list[tuple[str, ErrorEvent, ErrorEvent, bool]]:
     """Ordering case of every substitution-witness pair, relabeled so d1 <= d2.
 
     The returned events follow the relabeled order: the first event is the
     one with the smaller deletion position (taken from x or x_prime as
-    needed).
+    needed).  The flag says whether the two deleted symbols agree: x at
+    x's deletion position against x_prime at x_prime's, which relabeling
+    does not change.
     """
+    n = x.n
     wits_x = [w for w in all_witnesses(x, y) if w.e is not None]
     wits_xp = [w for w in all_witnesses(x_prime, y) if w.e is not None]
     out = []
     for wa in wits_x:
+        deleted = get_bit(x.value, n, wa.d)
         for wb in wits_xp:
             w1, w2 = (wa, wb) if wa.d <= wb.d else (wb, wa)
-            out.append((classify_case(w1.d, w1.e, w2.d, w2.e), w1, w2))
+            case = classify_case(w1.d, w1.e, w2.d, w2.e)
+            out.append((case, w1, w2, deleted == get_bit(x_prime.value, n, wb.d)))
     return out
 
 
@@ -213,6 +220,25 @@ class CollisionOrderingResult:
     deleted_symbol_mismatches: int  # witness pairs with x_{d1} != x'_{d2}
 
 
+def _collision_ordering(n: int, cov: _Coverage) -> CollisionOrderingResult:
+    pairs = violations = wt_bad = del_bad = 0
+    case_counts: dict[str, int] = {}
+    for y, a, b in cov.collisions:
+        xa, xb = Word(n, a), Word(n, b)
+        if xa.weight != xb.weight:
+            wt_bad += 1
+        for case, _, _, same_deleted in witness_pair_cases(xa, xb, Word(n - 1, y)):
+            pairs += 1
+            case_counts[case] = case_counts.get(case, 0) + 1
+            if case != "iv":
+                violations += 1
+            if not same_deleted:
+                del_bad += 1
+    return CollisionOrderingResult(
+        len(cov.collisions), pairs, violations, case_counts, wt_bad, del_bad
+    )
+
+
 def verify_collision_ordering(p: CodeParams) -> CollisionOrderingResult:
     """Check every collision of the class against the required interleaving.
 
@@ -221,40 +247,8 @@ def verify_collision_ordering(p: CodeParams) -> CollisionOrderingResult:
     d1 < e1 <= d2 and d1 <= e2 < d2; the deleted symbols must agree and
     the two weights must be equal.
     """
-    _check_verify_n(p.n)
-    cover = _coverage(codeword_values(p), p.n)
-    n = p.n
-    collisions = pairs = violations = wt_bad = del_bad = 0
-    case_counts: dict[str, int] = {}
-    for y, xs in sorted(cover.items()):
-        if len(xs) < 2:
-            continue
-        yw = Word(n - 1, y)
-        for a, b in combinations(xs, 2):
-            collisions += 1
-            xa, xb = Word(n, a), Word(n, b)
-            if xa.weight != xb.weight:
-                wt_bad += 1
-            wits_a = [w for w in all_witnesses(xa, yw) if w.e is not None]
-            wits_b = [w for w in all_witnesses(xb, yw) if w.e is not None]
-            for wa in wits_a:
-                for wb in wits_b:
-                    # Relabel so the first event has the smaller deletion
-                    # position, swapping the words along with the events.
-                    if wa.d <= wb.d:
-                        w1, w2, first, second = wa, wb, a, b
-                    else:
-                        w1, w2, first, second = wb, wa, b, a
-                    case = classify_case(w1.d, w1.e, w2.d, w2.e)
-                    pairs += 1
-                    case_counts[case] = case_counts.get(case, 0) + 1
-                    if case != "iv":
-                        violations += 1
-                    if get_bit(first, n, w1.d) != get_bit(second, n, w2.d):
-                        del_bad += 1
-    return CollisionOrderingResult(
-        collisions, pairs, violations, case_counts, wt_bad, del_bad
-    )
+    _check_n("lemma2", p.n)
+    return _collision_ordering(p.n, _cover(codeword_values(p).tolist(), p.n))
 
 
 def _deletion_balls_disjoint(values: Iterable[int], n: int) -> bool:
@@ -271,8 +265,8 @@ def _deletion_balls_disjoint(values: Iterable[int], n: int) -> bool:
 
 def verify_single_deletion(p: CodeParams) -> bool:
     """True iff no two distinct codewords share a pure-deletion result."""
-    _check_verify_n(p.n)
-    return _deletion_balls_disjoint((int(v) for v in codeword_values(p)), p.n)
+    _check_n("deletion", p.n)
+    return _deletion_balls_disjoint(codeword_values(p).tolist(), p.n)
 
 
 @dataclass
@@ -321,8 +315,7 @@ def verify_sign_split(n: int, m: int) -> SignSplitResult:
     """
     if m not in (1, 2):
         raise ValueError(f"segment parameter must be 1 or 2, got {m}")
-    if not 1 <= n <= 14:
-        raise ValueError(f"double-exhaustive scan supports n <= 14, got {n}")
+    _check_n("sign", n)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for v in range(1 << n):
         w = Word(n, v)
@@ -349,8 +342,7 @@ def verify_weight_deltas(n: int) -> int:
     by an event using exactly the symbols the received weight implies.
     Returns the number of violations.
     """
-    if not 2 <= n <= 12:
-        raise ValueError(f"event-exhaustive check supports 2 <= n <= 12, got {n}")
+    _check_n("table1", n)
     violations = 0
     for v in range(1 << n):
         wt_x = v.bit_count()
@@ -396,7 +388,7 @@ def redundancy_table(n_list: Iterable[int]) -> list[RedundancyRow]:
     rows = []
     for n in n_list:
         _, stats = choose_params(n)
-        r = redundancy(stats)
+        r = stats.redundancy
         bound = 3 * math.log2(n) + 4
         rows.append(RedundancyRow(n, stats.size, r, bound, bound - r))
     return rows
@@ -468,7 +460,7 @@ def _params_dict(p: CodeParams) -> dict:
     return {"c0": p.c0, "c1": p.c1, "c2": p.c2}
 
 
-ALL_CHECKS = ("list2", "lemma2", "sign", "table1", "deletion")
+ALL_CHECKS = tuple(_CHECK_RANGES)
 DEFAULT_CHECKS = ("list2", "lemma2", "deletion")
 
 
@@ -482,14 +474,20 @@ def full_report(
 ) -> tuple[dict, bool]:
     """Run the selected checks and assemble one report dict.
 
+    Members are listed once and their balls covered once; list2 and lemma2
+    read the same ascending walk over the colliding (y, x, x') triples.
     Returns (report, passed).  Timing is opt-in so identical runs emit
     byte-identical JSON.
     """
+    if not checks:
+        raise ValueError(f"no checks selected; available: {', '.join(ALL_CHECKS)}")
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
     if max_collisions < 0:
         raise ValueError(f"max_collisions must be >= 0, got {max_collisions}")
+    for check in checks:
+        _check_n(check, n)
     start = time.perf_counter()
     auto = params is None
     if auto:
@@ -497,7 +495,7 @@ def full_report(
     elif params.n != n:
         raise ValueError(f"params are for n={params.n}, not n={n}")
 
-    values = codeword_values(params)
+    values = codeword_values(params).tolist()
     stats = CodeStats(n, len(values))
     report: dict = {
         "n": n,
@@ -516,8 +514,10 @@ def full_report(
     }
     passed = True
 
+    if "list2" in checks or "lemma2" in checks:
+        cov = _cover(values, n)
     if "list2" in checks:
-        r = verify_list_size(params, max_collisions=max_collisions)
+        r = _list_size(params, stats.size, cov, max_collisions)
         report["max_list_size"] = r.max_list_size
         report["collision_count"] = r.collision_count
         report["collision_pairs"] = [
@@ -534,7 +534,7 @@ def full_report(
         ]
         passed &= r.max_list_size <= 2
     if "lemma2" in checks:
-        r = verify_collision_ordering(params)
+        r = _collision_ordering(n, cov)
         report["lemma2_violations"] = r.violations
         report["lemma2_cases"] = dict(sorted(r.case_counts.items()))
         report["lemma2_weight_mismatches"] = r.weight_mismatches
@@ -555,7 +555,7 @@ def full_report(
         report["table1_violations"] = v
         passed &= v == 0
     if "deletion" in checks:
-        ok = verify_single_deletion(params)
+        ok = _deletion_balls_disjoint(values, n)
         report["single_deletion_ok"] = ok
         passed &= ok
 
@@ -578,14 +578,18 @@ def smoke_report(
     codewords must decode back, and no decode may ever list more than
     two candidates.
     """
+    if samples < 1:
+        raise ValueError(f"smoke sampling needs samples >= 1, got {samples}")
     rng = random.Random(seed)
     auto = params is None
     if auto:
         params, _ = choose_params(n)
     elif params.n != n:
         raise ValueError(f"params are for n={params.n}, not n={n}")
-    members = [int(v) for v in codeword_values(params)]
-    decode_trials = completeness_failures = bound_failures = 0
+    members = codeword_values(params).tolist()
+    if not members:
+        raise ValueError(f"{params} has no members to sample")
+    completeness_failures = bound_failures = 0
     max_list_seen = 0
 
     def probe(y: Word) -> DecodeResult | None:
@@ -599,15 +603,13 @@ def smoke_report(
         return res
 
     for _ in range(samples):
-        if members:
-            x = rng.choice(members)
-            d = rng.randrange(1, n + 1)
-            e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
-            w = x if e is None else flip_bit(x, n, e)
-            res = probe(Word(n - 1, delete_bit(w, n, d)))
-            decode_trials += 1
-            if res is not None and Word(n, x) not in res.words:
-                completeness_failures += 1
+        x = rng.choice(members)
+        d = rng.randrange(1, n + 1)
+        e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
+        w = x if e is None else flip_bit(x, n, e)
+        res = probe(Word(n - 1, delete_bit(w, n, d)))
+        if res is not None and Word(n, x) not in res.words:
+            completeness_failures += 1
         probe(Word(n - 1, rng.randrange(0, 1 << (n - 1))))
     passed = completeness_failures == 0 and bound_failures == 0
     report = {
@@ -617,7 +619,7 @@ def smoke_report(
         "auto_params": auto,
         "samples": samples,
         "seed": seed,
-        "decode_trials": decode_trials,
+        "decode_trials": samples,
         "max_list_seen": max_list_seen,
         "completeness_failures": completeness_failures,
         "bound_failures": bound_failures,

@@ -14,7 +14,6 @@ from delsub import (
     error_ball,
     iter_corruptions,
     iter_events,
-    weight,
 )
 
 W = Word.from_text
@@ -156,4 +155,4 @@ def test_weight_drop_matches_table(pair):
         sub = Substitution.ZERO_TO_ONE
     else:
         sub = Substitution.ONE_TO_ZERO
-    assert weight(w) - weight(y) == WEIGHT_DELTA_TABLE[(w.bit(ev.d), sub)]
+    assert w.weight - y.weight == WEIGHT_DELTA_TABLE[(w.bit(ev.d), sub)]

@@ -1,7 +1,11 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsub import choose_params
 from delsub.cli import main
@@ -11,6 +15,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_usage_error(capsys, *argv):
+    """Run argv that argparse itself must refuse."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
 
 def run_json(capsys, *argv):
@@ -115,15 +127,15 @@ def test_decode_json_schema(capsys):
 
 
 def test_decode_separate_residue_flags(capsys):
-    _, out1, _ = run(capsys, "decode", "--params", "1,8,439", *DECODE_ARGS)
-    _, out2, _ = run(
-        capsys, "decode", "--c0", "1", "--c1", "8", "--c2", "439", *DECODE_ARGS
+    """The --c0/--c1/--c2 alias is gone; --params is the one way in."""
+    code, _, err = run_usage_error(
+        capsys, "decode", "--params", "1,8,439", "--c0", "1", *DECODE_ARGS
     )
-    assert out1 == out2
+    assert code == 2 and "--c0" in err
 
 
 def test_decode_missing_params(capsys):
-    code, _, err = run(capsys, "decode", *DECODE_ARGS)
+    code, _, err = run_usage_error(capsys, "decode", *DECODE_ARGS)
     assert code == 2 and "--params" in err
 
 
@@ -227,6 +239,23 @@ def test_verify_negative_max_collisions_is_usage_error(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "10", "--checks="],
+        ["--n", "10", "--checks", ","],
+        ["--n", "10", "--smoke", "0"],
+        ["--n", "10", "--smoke", "-3"],
+        ["--n", "8", "--params", "0,0,1", "--smoke", "5"],
+        ["--n", "40", "--checks", "deletion"],
+    ],
+)
+def test_verify_refuses_vacuous_and_out_of_range_runs(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--n", "8", "--checks", "list2,nope")
     assert code == 2 and "unknown checks" in err
@@ -302,3 +331,86 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# --- argv fuzz -----------------------------------------------------------------
+
+# Lengths stay at or below 10 so every example is cheap and no ball check
+# ever meets a length above its range.
+FLAG_VALUES = {
+    "--n": ["2", "5", "8", "10"],
+    "--params": ["0,0,0", "0,0,1", "2,4,7", "1,8,439", "4,0,0"],
+    "--word": ["1", "10", "1010", "10110", "1111111", "10110100", "101101101", "1011010011"],
+    "--format": ["json", "text"],
+    "--workers": ["1", "3"],
+    "--checks": ["list2", "lemma2,deletion", "sign,table1", "list2,", "bogus"],
+    "--max-collisions": ["0", "3"],
+    "--smoke": ["1", "4"],
+    "--seed": ["7"],
+    "--n-list": ["8", "2,6", "5,,9"],
+    "--timing": [],
+}
+EDGE_VALUES = ["", "-3", "0", "1", ",", "1,2", "10a1", "x"]
+REQUIRED = {
+    "construct": ["--n"],
+    "check": ["--n", "--params", "--word"],
+    "decode": ["--n", "--params", "--word"],
+    "ball": ["--n", "--word"],
+    "verify": ["--n"],
+    "table": ["--n-list"],
+    "examples": [],
+    "bogus": [],
+}
+OPTIONAL = {
+    "construct": ["--format", "--workers"],
+    "check": ["--format"],
+    "decode": ["--format"],
+    "ball": ["--format"],
+    "verify": [
+        "--params", "--checks", "--max-collisions", "--smoke", "--seed", "--timing",
+        "--format", "--workers",
+    ],
+    "table": ["--format", "--workers"],
+    "examples": ["--format"],
+    "bogus": [],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required flags (sometimes one dropped), some of
+    its optional flags and sometimes a flag of another subcommand; some
+    values are edge values."""
+    sub = draw(st.sampled_from(sorted(REQUIRED)))
+    flags = list(REQUIRED[sub])
+    if flags and draw(st.integers(0, 9)) == 0:
+        flags.remove(draw(st.sampled_from(flags)))
+    flags += draw(st.lists(st.sampled_from(OPTIONAL[sub] or ["--format"]), unique=True, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    argv = [sub]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--timing":
+            edge = draw(st.integers(0, 5)) == 0
+            argv.append(draw(st.sampled_from(EDGE_VALUES if edge else FLAG_VALUES[flag])))
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_cli_argv_fuzz(argv):
+    """Any argv ends in exit 0, 1 or 2, never in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    parse_error = False
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, parse_error = exc.code, True
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and not parse_error:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1

@@ -20,7 +20,6 @@ from delsub import (
     matches_value,
     params_from_bucket,
     params_of,
-    redundancy,
     wt_f1_f2,
 )
 
@@ -122,6 +121,22 @@ def test_params_of_contains_its_word(w):
     assert is_codeword(w, params_of(w)) == expected
 
 
+def test_params_of_known_values():
+    assert params_of(W("0000")) == CodeParams(4, 0, 0, 0)
+    assert params_of(W("1010")) == CodeParams(4, 2, 4, 7)
+    # wt=9 -> 1 mod 4, f1=72 -> 8 mod 32, f2=439 mod 512.
+    assert params_of(W("1101101000101110")) == CodeParams(16, 1, 8, 439)
+
+
+@given(words(max_n=20))
+def test_params_of_residues_in_range(w):
+    p = params_of(w)
+    assert p.n == w.n
+    assert 0 <= p.c0 < 4
+    assert 0 <= p.c1 < 2 * w.n
+    assert 0 <= p.c2 < 2 * w.n * w.n
+
+
 # --- scans -------------------------------------------------------------------
 
 
@@ -177,7 +192,7 @@ def test_choose_params_pigeonhole_bound():
         assert stats.size >= math.ceil(((1 << n) - 2) / (16 * n**3))
         # redundancy form of the same bound, with the exact correction term
         slack = math.log2((1 << n) / ((1 << n) - 2))
-        assert redundancy(stats) <= 3 * math.log2(n) + 4 + slack
+        assert stats.redundancy <= 3 * math.log2(n) + 4 + slack
 
 
 def test_choose_params_tie_break_is_first_maximum():
@@ -263,14 +278,11 @@ def test_class_sizes_match_bucket_counts():
 
 
 def test_redundancy_values():
-    assert redundancy(CodeStats(7, 1)) == 7
+    assert CodeStats(7, 1).redundancy == 7
     near_full = CodeStats(10, (1 << 10) - 2)
-    assert redundancy(near_full) == pytest.approx(10 - math.log2((1 << 10) - 2))
-    assert near_full.redundancy == redundancy(near_full)
+    assert near_full.redundancy == pytest.approx(10 - math.log2((1 << 10) - 2))
 
 
 def test_redundancy_of_empty_class():
     empty = CodeStats(8, 0)
     assert empty.redundancy is None
-    with pytest.raises(ValueError):
-        redundancy(empty)

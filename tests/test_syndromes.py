@@ -6,10 +6,8 @@ from delsub import (
     Word,
     sign_segments_ok,
     suffix_diff,
-    syndrome_vector,
     vt_syndrome,
     vt_syndrome_from_suffix_sums,
-    weight,
     wt_f1_f2,
 )
 
@@ -33,9 +31,9 @@ def word_pairs(draw, min_n=1, max_n=16):
 
 
 def test_weight_known_values():
-    assert weight(W("0000")) == 0
-    assert weight(W("1101101000101110")) == 9
-    assert weight(W("1111")) == 4
+    assert W("0000").weight == 0
+    assert W("1101101000101110").weight == 9
+    assert W("1111").weight == 4
 
 
 # --- VT syndromes -------------------------------------------------------
@@ -77,27 +75,9 @@ def test_summation_orders_agree_property(w, j):
 @given(words(max_n=24))
 def test_wt_f1_f2_matches_reference_routes(w):
     wt, f1, f2 = wt_f1_f2(w.value, w.n)
-    assert wt == weight(w)
+    assert wt == w.weight
     assert f1 == vt_syndrome(w, 1)
     assert f2 == vt_syndrome(w, 2)
-
-
-# --- reduced triple -----------------------------------------------------
-
-
-def test_syndrome_vector_known_values():
-    assert syndrome_vector(W("0000")) == (0, 0, 0, 4)
-    assert syndrome_vector(W("1010")) == (2, 4, 7, 4)
-    # wt=9 -> 1 mod 4, f1=72 -> 8 mod 32, f2=439 mod 512.
-    assert syndrome_vector(W("1101101000101110")) == (1, 8, 439, 16)
-
-
-@given(words())
-def test_syndrome_vector_residues_in_range(w):
-    s = syndrome_vector(w)
-    assert 0 <= s.weight_mod4 < 4
-    assert 0 <= s.f1_mod < 2 * w.n
-    assert 0 <= s.f2_mod < 2 * w.n * w.n
 
 
 # --- suffix differences -------------------------------------------------
@@ -154,7 +134,7 @@ def test_suffix_diff_structure(pair):
 
 @given(words())
 def test_weight_is_first_suffix_diff_against_zero(w):
-    assert suffix_diff(w, Word.zeros(w.n))[0] == weight(w)
+    assert suffix_diff(w, Word.zeros(w.n))[0] == w.weight
 
 
 def test_suffix_diff_against_zero_is_the_suffix_weight_vector():

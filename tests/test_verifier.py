@@ -66,7 +66,29 @@ def test_non_member_pair_is_flagged():
     """Words that merely share a received word, but not a class, break the ordering."""
     cases = witness_pair_cases(X1, XP1, Y1)
     assert cases
-    assert all(case != "iv" for case, _, _ in cases)
+    assert all(case != "iv" for case, *_ in cases)
+
+
+def _flags(x, xp, y):
+    """Deleted-symbol flag of each witness pair, keyed by its two events."""
+    return sorted((sorted((w1, w2)), same) for _, w1, w2, same in witness_pair_cases(x, xp, y))
+
+
+def test_witness_pairs_flag_the_deleted_symbols():
+    # x reaches y by (d=5, e=3) and x' by (d=4, e=5), so the relabeled pair
+    # puts x' first; the deleted symbols x_5 = 1 and x'_4 = 0 differ.
+    x, xp, y = W("00001"), W("00101"), W("0010")
+    assert witness_pair_cases(x, xp, y) == [
+        ("ii", ErrorEvent(4, 5), ErrorEvent(5, 3), False)
+    ]
+    # The comparison does not depend on the relabeling, so swapping the
+    # two words keeps every flag.
+    n = 5
+    for a in range(1 << n):
+        for b in range(a + 1, 1 << n):
+            x, xp = Word(n, a), Word(n, b)
+            for y in error_ball(x) & error_ball(xp):
+                assert _flags(x, xp, y) == _flags(xp, x, y)
 
 
 # --- ball coverage ----------------------------------------------------------
@@ -374,6 +396,79 @@ def test_full_report_explicit_params_and_unknown_check():
         full_report(8, checks=("list2", "bogus"))
     with pytest.raises(ValueError):
         full_report(8, CodeParams(10, 0, 0, 0))
+
+
+def test_full_report_lists_members_and_covers_once(monkeypatch):
+    import delsub.verifier as verifier
+
+    calls = {"codeword_values": 0, "_cover": 0}
+
+    def counted(name):
+        real = getattr(verifier, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verifier, name, counted(name))
+    report, passed = full_report(14)
+    assert passed and report["collision_count"] > 0
+    assert calls == {"codeword_values": 1, "_cover": 1}
+    monkeypatch.undo()
+
+    # The one pass reports what the separate public checks report.
+    p = CodeParams(14, **report["params"])
+    cover = verify_list_size(p)
+    order = verify_collision_ordering(p)
+    assert report["max_list_size"] == cover.max_list_size
+    assert report["collision_count"] == cover.collision_count == order.collisions
+    assert report["lemma2_cases"] == dict(sorted(order.case_counts.items()))
+    assert report["lemma2_violations"] == order.violations
+    assert report["single_deletion_ok"] == verify_single_deletion(p)
+
+
+def test_full_report_rejects_an_empty_check_list():
+    with pytest.raises(ValueError, match="no checks"):
+        full_report(10, checks=())
+
+
+@pytest.mark.parametrize(
+    "n, checks",
+    [
+        (29, ("list2",)),
+        (40, ("lemma2",)),
+        (40, ("deletion",)),
+        (15, ("list2", "sign")),
+        (13, ("deletion", "table1")),
+        (1, ("table1",)),
+    ],
+)
+def test_full_report_checks_the_length_before_any_work(monkeypatch, n, checks):
+    import delsub.verifier as verifier
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a class was counted or listed before the length check")
+
+    monkeypatch.setattr(verifier, "codeword_values", forbidden)
+    monkeypatch.setattr(verifier, "choose_params", forbidden)
+    with pytest.raises(ValueError, match=checks[-1]):
+        full_report(n, checks=checks)
+    if n >= 2:
+        with pytest.raises(ValueError, match=checks[-1]):
+            full_report(n, CodeParams(n, 0, 0, 0), checks=checks)
+
+
+def test_smoke_report_refuses_a_vacuous_run():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            smoke_report(10, samples=samples)
+    empty = CodeParams(8, 0, 0, 1)
+    assert len(codeword_values(empty)) == 0
+    with pytest.raises(ValueError, match="no members"):
+        smoke_report(8, empty, samples=5)
 
 
 def test_smoke_report_is_deterministic():
