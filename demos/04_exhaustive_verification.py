@@ -8,24 +8,20 @@ segment at position 1: the relaxed convention has real counterexamples.
 
 from delsub import (
     Word,
-    choose_params,
+    full_report,
     suffix_diff,
-    verify_collision_ordering,
-    verify_list_size,
     verify_sign_split,
-    verify_single_deletion,
     verify_weight_deltas,
     vt_syndrome,
 )
 
+# One report per length lists the class once and covers its balls once.
 for n in (10, 12, 14):
-    params, _ = choose_params(n)
-    cover = verify_list_size(params)
-    order = verify_collision_ordering(params)
+    r, _ = full_report(n)
     print(
-        f"n={n}: size {cover.code_size}, max list {cover.max_list_size}, "
-        f"{order.collisions} collisions, {order.violations} ordering violations, "
-        f"cases {order.case_counts}, deletion balls disjoint: {verify_single_deletion(params)}"
+        f"n={n}: size {r['code_size']}, max list {r['max_list_size']}, "
+        f"{r['collision_count']} collisions, {r['lemma2_violations']} ordering violations, "
+        f"cases {r['lemma2_cases']}, deletion balls disjoint: {r['single_deletion_ok']}"
     )
 print()
 

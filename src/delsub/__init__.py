@@ -18,10 +18,12 @@ from .channel import (
     WeightDeltaClass,
     WeightWindowError,
     apply_del_sub,
+    ball_values,
     classify_weight_delta,
     error_ball,
     iter_corruptions,
     iter_events,
+    validate_event,
 )
 from .code import (
     ENUMERATION_BYTE_CAP,
@@ -56,20 +58,14 @@ from .syndromes import (
 )
 from .verifier import (
     VERIFY_CEILING,
-    Collision,
-    CollisionOrderingResult,
     RedundancyRow,
     SignSplitResult,
-    VerifyReport,
     classify_case,
     full_report,
     predicted_suffix_profile,
     redundancy_table,
     smoke_report,
-    verify_collision_ordering,
-    verify_list_size,
     verify_sign_split,
-    verify_single_deletion,
     verify_weight_deltas,
     witness_pair_cases,
 )

@@ -106,6 +106,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--seed only applies to the smoke-sampling mode (--smoke)")
     params = CodeParams(args.n, *args.params) if args.params else None
     if args.smoke is not None:
+        exhaustive_only = [
+            flag
+            for flag, given in (
+                ("--checks", args.checks is not None),
+                ("--max-collisions", args.max_collisions is not None),
+                ("--timing", args.timing),
+            )
+            if given
+        ]
+        if exhaustive_only:
+            raise ValueError(
+                f"{', '.join(exhaustive_only)} cannot be combined with --smoke "
+                "(they apply to the exhaustive checks only)"
+            )
         doc, passed = smoke_report(
             args.n,
             params,
@@ -121,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args.n,
             params,
             checks=checks,
-            max_collisions=args.max_collisions,
+            max_collisions=100 if args.max_collisions is None else args.max_collisions,
             timing=args.timing,
         )
     lines = [f"{k}={v}" for k, v in doc.items()]
@@ -214,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         help=f"comma list from: {','.join(ALL_CHECKS)} (default {','.join(DEFAULT_CHECKS)})",
     )
-    p.add_argument("--max-collisions", type=int, default=100)
+    p.add_argument("--max-collisions", type=int, help="collision records to list (default 100)")
     p.add_argument("--smoke", type=int, metavar="SAMPLES", help="sampled spot checks instead of exhaustion")
     p.add_argument("--seed", type=int, help="smoke-mode RNG seed")
     p.add_argument("--timing", action="store_true", help="include elapsed seconds in the report")

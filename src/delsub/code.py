@@ -134,11 +134,8 @@ def _position_shift(i: int) -> tuple[int, int, int]:
 
 def _strip_constant_words(counts: np.ndarray, n: int) -> None:
     # 0^n and 1^n are excluded from every class by definition.
-    counts[0] -= 1
-    wt = n
-    f1 = n * (n + 1) // 2
-    f2 = n * (n + 1) * (n + 2) // 6
-    counts[((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)] -= 1
+    for w in (Word.zeros(n), Word.ones(n)):
+        counts[params_of(w).bucket_index] -= 1
 
 
 def bucket_counts(n: int) -> np.ndarray:

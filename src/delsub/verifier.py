@@ -3,8 +3,10 @@
 Everything here is enumeration, not proof: corruption balls of whole
 classes are intersected, syndrome-equal word pairs are scanned for
 sign-splittable difference vectors, and the weight-drop table is checked
-on every word/event combination.  Sampled shortcuts live only in the
-separate smoke mode and are labeled as such.
+on every word/event combination.  full_report is the one entry point for
+the list2, lemma2 and deletion checks: it lists a class's members once,
+covers their balls once and walks the colliding triples once.  Sampled
+shortcuts live only in the separate smoke mode and are labeled as such.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -25,20 +27,14 @@ from .channel import (
     iter_events,
 )
 from .code import CodeParams, CodeStats, choose_params, codeword_values
-from .decoder import DecodeResult, ListBoundError, all_witnesses, list_decode
+from .decoder import DecodeResult, ListBoundError, all_witnesses, canonical_witness, list_decode
 from .syndromes import suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
 
 __all__ = [
     "VERIFY_CEILING",
-    "Collision",
-    "VerifyReport",
-    "CollisionOrderingResult",
     "SignSplitResult",
     "RedundancyRow",
-    "verify_list_size",
-    "verify_collision_ordering",
-    "verify_single_deletion",
     "verify_sign_split",
     "verify_weight_deltas",
     "redundancy_table",
@@ -57,7 +53,7 @@ VERIFY_CEILING = 28
 _CHECK_RANGES = {
     "list2": (2, VERIFY_CEILING),
     "lemma2": (2, VERIFY_CEILING),
-    "sign": (1, 14),
+    "sign": (2, 14),
     "table1": (2, 12),
     "deletion": (2, VERIFY_CEILING),
 }
@@ -67,30 +63,6 @@ def _check_n(check: str, n: int) -> None:
     lo, hi = _CHECK_RANGES[check]
     if not lo <= n <= hi:
         raise ValueError(f"the {check} check supports {lo} <= n <= {hi}, got {n}")
-
-
-@dataclass(frozen=True)
-class Collision:
-    """Two codewords whose corruption balls share the received word y."""
-
-    x: Word
-    x_prime: Word
-    y: Word
-    witness1: ErrorEvent
-    witness2: ErrorEvent
-
-
-@dataclass
-class VerifyReport:
-    """Outcome of the ball-coverage check on one class."""
-
-    params: CodeParams
-    code_size: int
-    redundancy: float | None
-    max_list_size: int | None = None
-    collision_count: int | None = None
-    collision_pairs: list[Collision] = field(default_factory=list)
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -123,39 +95,22 @@ def _cover(values: Sequence[int], n: int) -> _Coverage:
     )
 
 
-def _collision_record(n: int, y: int, a: int, b: int) -> Collision:
+def _collision_record(n: int, y: int, a: int, b: int) -> dict:
+    """Report record of one collision; the member whose witness deletes first leads."""
     yw = Word(n - 1, y)
     xa, xb = Word(n, a), Word(n, b)
-    wa = all_witnesses(xa, yw)[0]
-    wb = all_witnesses(xb, yw)[0]
-    if wa.d > wb.d:  # present with d1 <= d2
+    wa, wb = canonical_witness(xa, yw), canonical_witness(xb, yw)
+    if wa.d > wb.d:
         xa, xb, wa, wb = xb, xa, wb, wa
-    return Collision(xa, xb, yw, wa, wb)
-
-
-def _list_size(p: CodeParams, code_size: int, cov: _Coverage, limit: int) -> VerifyReport:
-    return VerifyReport(
-        params=p,
-        code_size=code_size,
-        redundancy=CodeStats(p.n, code_size).redundancy,
-        max_list_size=cov.max_list_size,
-        collision_count=len(cov.collisions),
-        collision_pairs=[_collision_record(p.n, *t) for t in cov.collisions[:limit]],
-    )
-
-
-def verify_list_size(p: CodeParams, *, max_collisions: int = 100) -> VerifyReport:
-    """Intersect every codeword's corruption ball; report the worst overlap.
-
-    max_list_size <= 2 is the pass condition.  Collision records are
-    capped at max_collisions; the count stays exact.
-    """
-    _check_n("list2", p.n)
-    start = time.perf_counter()
-    values = codeword_values(p).tolist()
-    report = _list_size(p, len(values), _cover(values, p.n), max_collisions)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return {
+        "y": str(yw),
+        "x": str(xa),
+        "x_prime": str(xb),
+        "d1": wa.d,
+        "e1": wa.e,
+        "d2": wb.d,
+        "e2": wb.e,
+    }
 
 
 def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
@@ -208,50 +163,35 @@ def witness_pair_cases(
     return out
 
 
-@dataclass
-class CollisionOrderingResult:
-    """Interleaving statistics over every collision's witness pairs."""
+def _collision_ordering(n: int, cov: _Coverage) -> dict:
+    """The lemma2 report fields over every collision's witness pairs.
 
-    collisions: int
-    witness_pairs: int
-    violations: int  # witness pairs falling outside case "iv"
-    case_counts: dict[str, int]
-    weight_mismatches: int  # colliding pairs with unequal weights
-    deleted_symbol_mismatches: int  # witness pairs with x_{d1} != x'_{d2}
-
-
-def _collision_ordering(n: int, cov: _Coverage) -> CollisionOrderingResult:
-    pairs = violations = wt_bad = del_bad = 0
+    Every substitution-witness pair (relabeled so d1 <= d2) must fall in
+    case "iv"; the deleted symbols must agree and the two weights must be
+    equal.
+    """
+    violations = wt_bad = del_bad = 0
     case_counts: dict[str, int] = {}
     for y, a, b in cov.collisions:
         xa, xb = Word(n, a), Word(n, b)
         if xa.weight != xb.weight:
             wt_bad += 1
         for case, _, _, same_deleted in witness_pair_cases(xa, xb, Word(n - 1, y)):
-            pairs += 1
             case_counts[case] = case_counts.get(case, 0) + 1
             if case != "iv":
                 violations += 1
             if not same_deleted:
                 del_bad += 1
-    return CollisionOrderingResult(
-        len(cov.collisions), pairs, violations, case_counts, wt_bad, del_bad
-    )
-
-
-def verify_collision_ordering(p: CodeParams) -> CollisionOrderingResult:
-    """Check every collision of the class against the required interleaving.
-
-    For each pair of codewords reaching a common received word, every
-    substitution-witness pair (relabeled so d1 <= d2) must satisfy
-    d1 < e1 <= d2 and d1 <= e2 < d2; the deleted symbols must agree and
-    the two weights must be equal.
-    """
-    _check_n("lemma2", p.n)
-    return _collision_ordering(p.n, _cover(codeword_values(p).tolist(), p.n))
+    return {
+        "lemma2_violations": violations,
+        "lemma2_cases": dict(sorted(case_counts.items())),
+        "lemma2_weight_mismatches": wt_bad,
+        "lemma2_deleted_symbol_mismatches": del_bad,
+    }
 
 
 def _deletion_balls_disjoint(values: Iterable[int], n: int) -> bool:
+    """True iff no two distinct members share a pure-deletion result."""
     seen: dict[int, int] = {}
     for x in values:
         reach = {delete_bit(x, n, d) for d in range(1, n + 1)}
@@ -261,12 +201,6 @@ def _deletion_balls_disjoint(values: Iterable[int], n: int) -> bool:
                 return False
             seen[y] = x
     return True
-
-
-def verify_single_deletion(p: CodeParams) -> bool:
-    """True iff no two distinct codewords share a pure-deletion result."""
-    _check_n("deletion", p.n)
-    return _deletion_balls_disjoint(codeword_values(p).tolist(), p.n)
 
 
 @dataclass
@@ -474,8 +408,10 @@ def full_report(
 ) -> tuple[dict, bool]:
     """Run the selected checks and assemble one report dict.
 
-    Members are listed once and their balls covered once; list2 and lemma2
-    read the same ascending walk over the colliding (y, x, x') triples.
+    The only way to run list2, lemma2 and deletion.  Members are listed
+    once and their balls covered once; list2 and lemma2 read the same
+    ascending walk over the colliding (y, x, x') triples, and list2 keeps
+    at most max_collisions records while its count stays exact.
     Returns (report, passed).  Timing is opt-in so identical runs emit
     byte-identical JSON.
     """
@@ -517,32 +453,19 @@ def full_report(
     if "list2" in checks or "lemma2" in checks:
         cov = _cover(values, n)
     if "list2" in checks:
-        r = _list_size(params, stats.size, cov, max_collisions)
-        report["max_list_size"] = r.max_list_size
-        report["collision_count"] = r.collision_count
+        report["max_list_size"] = cov.max_list_size
+        report["collision_count"] = len(cov.collisions)
         report["collision_pairs"] = [
-            {
-                "y": str(c.y),
-                "x": str(c.x),
-                "x_prime": str(c.x_prime),
-                "d1": c.witness1.d,
-                "e1": c.witness1.e,
-                "d2": c.witness2.d,
-                "e2": c.witness2.e,
-            }
-            for c in r.collision_pairs
+            _collision_record(n, *t) for t in cov.collisions[:max_collisions]
         ]
-        passed &= r.max_list_size <= 2
+        passed &= cov.max_list_size <= 2
     if "lemma2" in checks:
-        r = _collision_ordering(n, cov)
-        report["lemma2_violations"] = r.violations
-        report["lemma2_cases"] = dict(sorted(r.case_counts.items()))
-        report["lemma2_weight_mismatches"] = r.weight_mismatches
-        report["lemma2_deleted_symbol_mismatches"] = r.deleted_symbol_mismatches
+        lemma2 = _collision_ordering(n, cov)
+        report.update(lemma2)
         passed &= (
-            r.violations == 0
-            and r.weight_mismatches == 0
-            and r.deleted_symbol_mismatches == 0
+            lemma2["lemma2_violations"] == 0
+            and lemma2["lemma2_weight_mismatches"] == 0
+            and lemma2["lemma2_deleted_symbol_mismatches"] == 0
         )
     if "sign" in checks:
         r = verify_sign_split(n, 1)

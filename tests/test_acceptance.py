@@ -18,14 +18,12 @@ from delsub import (
     choose_params,
     enumerate_code,
     error_ball,
+    full_report,
     list_decode,
     list_decode_brute,
     replay,
     suffix_diff,
-    verify_collision_ordering,
-    verify_list_size,
     verify_sign_split,
-    verify_single_deletion,
     verify_weight_deltas,
 )
 from delsub.cli import main as cli_main
@@ -78,7 +76,8 @@ def test_criterion_2_list_size_bound():
     attained = {}
     for n in (8, 10, 12, 14, 16):
         p, _ = best(n)
-        attained[n] = verify_list_size(p).max_list_size
+        report, _ = full_report(n, p, checks=("list2",))
+        attained[n] = report["max_list_size"]
     ok = all(v <= 2 for v in attained.values())
     _finish(2, ok, f"max list size per n: {attained}")
 
@@ -102,10 +101,14 @@ def test_criterion_4_collision_ordering():
     ok = True
     for n in (10, 12, 14):
         p, _ = best(n)
-        r = verify_collision_ordering(p)
-        details.append(f"n={n}: {r.collisions} collisions, {r.violations} violations, cases={r.case_counts}")
-        ok &= r.violations == 0 and set(r.case_counts) <= {"iv"}
-        ok &= r.weight_mismatches == 0 and r.deleted_symbol_mismatches == 0
+        r, _ = full_report(n, p, checks=("list2", "lemma2"))
+        cases = r["lemma2_cases"]
+        details.append(
+            f"n={n}: {r['collision_count']} collisions, {r['lemma2_violations']} violations, "
+            f"cases={cases}"
+        )
+        ok &= r["lemma2_violations"] == 0 and set(cases) <= {"iv"}
+        ok &= r["lemma2_weight_mismatches"] == 0 and r["lemma2_deleted_symbol_mismatches"] == 0
     _finish(4, ok, "; ".join(details))
 
 
@@ -163,7 +166,8 @@ def test_criterion_8_single_deletion_correction():
     bad = []
     for n in range(2, 17):
         p, _ = best(n)
-        if not verify_single_deletion(p):
+        report, _ = full_report(n, p, checks=("deletion",))
+        if report["single_deletion_ok"] is not True:
             bad.append(n)
     _finish(8, not bad, bad or "disjoint for n=2..16")
 

@@ -248,6 +248,10 @@ def test_verify_negative_max_collisions_is_usage_error(capsys):
         ["--n", "10", "--smoke", "-3"],
         ["--n", "8", "--params", "0,0,1", "--smoke", "5"],
         ["--n", "40", "--checks", "deletion"],
+        ["--n", "12", "--smoke", "3", "--checks", "sign,bogus"],
+        ["--n", "12", "--smoke", "3", "--checks", "list2"],
+        ["--n", "12", "--smoke", "3", "--max-collisions", "5"],
+        ["--n", "12", "--smoke", "3", "--timing"],
     ],
 )
 def test_verify_refuses_vacuous_and_out_of_range_runs(capsys, argv):

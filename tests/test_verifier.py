@@ -21,10 +21,7 @@ from delsub import (
     sign_segments_ok,
     smoke_report,
     suffix_diff,
-    verify_collision_ordering,
-    verify_list_size,
     verify_sign_split,
-    verify_single_deletion,
     verify_weight_deltas,
     vt_syndrome,
     witness_pair_cases,
@@ -110,7 +107,12 @@ def test_every_class_respects_the_two_candidate_bound():
         assert max(len(s) for s in cover.values()) <= 2
 
 
-def test_verify_list_size_agrees_with_the_oracle():
+def _list2(n, p=None, **kwargs):
+    report, _ = full_report(n, p, checks=("list2",), **kwargs)
+    return report
+
+
+def test_list2_agrees_with_the_oracle():
     n = 9
     cover = _coverage_oracle(n)
     worst: dict[int, int] = {}
@@ -121,57 +123,56 @@ def test_verify_list_size_agrees_with_the_oracle():
             collisions[key] = collisions.get(key, 0) + 1
     for key in sorted(collisions):
         p = params_from_bucket(n, key)
-        report = verify_list_size(p)
-        assert report.max_list_size == worst[key]
-        assert report.collision_count == collisions[key]
-        assert report.code_size == len(codeword_values(p))
-        for c in report.collision_pairs:
-            assert is_codeword(c.x, p) and is_codeword(c.x_prime, p)
-            assert c.y in error_ball(c.x) and c.y in error_ball(c.x_prime)
+        report = _list2(n, p)
+        assert report["max_list_size"] == worst[key]
+        assert report["collision_count"] == collisions[key]
+        assert report["code_size"] == len(codeword_values(p))
+        for c in report["collision_pairs"]:
+            x, xp, y = W(c["x"]), W(c["x_prime"]), W(c["y"])
+            assert is_codeword(x, p) and is_codeword(xp, p)
+            assert y in error_ball(x) and y in error_ball(xp)
 
 
-def test_verify_list_size_on_best_class():
+def test_list2_on_best_class():
     p, stats = choose_params(12)
-    report = verify_list_size(p)
-    assert report.code_size == stats.size
-    assert report.redundancy == stats.redundancy
-    assert report.max_list_size == 2
-    assert report.collision_count == len(report.collision_pairs)
-    assert report.elapsed >= 0
+    report = _list2(12, p, timing=True)
+    assert report["code_size"] == stats.size
+    assert report["redundancy"] == stats.redundancy
+    assert report["max_list_size"] == 2
+    assert report["collision_count"] == len(report["collision_pairs"])
+    assert report["elapsed"] >= 0
 
 
-def test_verify_list_size_collision_cap():
-    p, _ = choose_params(14)
-    full = verify_list_size(p)
-    capped = verify_list_size(p, max_collisions=3)
-    assert capped.collision_count == full.collision_count
-    assert len(capped.collision_pairs) == 3
-    assert capped.collision_pairs == full.collision_pairs[:3]
+def test_list2_collision_cap():
+    full = _list2(14)
+    capped = _list2(14, max_collisions=3)
+    assert capped["collision_count"] == full["collision_count"]
+    assert len(capped["collision_pairs"]) == 3
+    assert capped["collision_pairs"] == full["collision_pairs"][:3]
 
 
-def test_verify_list_size_worker_invariance():
-    p, _ = choose_params(12)
-    reference = verify_list_size(p)
+def test_list2_is_repeatable():
+    reference = _list2(12)
     for _ in range(2):
-        got = verify_list_size(p)
-        assert got.max_list_size == reference.max_list_size
-        assert got.collision_count == reference.collision_count
-        assert got.collision_pairs == reference.collision_pairs
+        got = _list2(12)
+        assert got["max_list_size"] == reference["max_list_size"]
+        assert got["collision_count"] == reference["collision_count"]
+        assert got["collision_pairs"] == reference["collision_pairs"]
 
 
 def test_verify_ceiling():
     with pytest.raises(ValueError):
-        verify_list_size(CodeParams(30, 0, 0, 0))
+        _list2(30, CodeParams(30, 0, 0, 0))
 
 
 def test_singleton_class_covers_its_own_ball():
     x = W("10110100")
     p = params_of(x)
     if len(codeword_values(p)) == 1:
-        report = verify_list_size(p)
-        assert report.code_size == 1
-        assert report.max_list_size == 1
-        assert report.collision_count == 0
+        report = _list2(8, p)
+        assert report["code_size"] == 1
+        assert report["max_list_size"] == 1
+        assert report["collision_count"] == 0
 
 
 def test_empty_class_report():
@@ -182,12 +183,12 @@ def test_empty_class_report():
     n = 8
     counts = bucket_counts(n)
     idx = int(np.flatnonzero(counts == 0)[0])
-    report = verify_list_size(params_from_bucket(n, idx))
-    assert report.code_size == 0
-    assert report.redundancy is None
-    assert report.max_list_size == 0
-    assert report.collision_pairs == []
-    assert verify_single_deletion(params_from_bucket(n, idx))
+    report, _ = full_report(n, params_from_bucket(n, idx), checks=("list2", "deletion"))
+    assert report["code_size"] == 0
+    assert report["redundancy"] is None
+    assert report["max_list_size"] == 0
+    assert report["collision_pairs"] == []
+    assert report["single_deletion_ok"] is True
 
 
 # --- collision ordering -------------------------------------------------------
@@ -196,12 +197,12 @@ def test_empty_class_report():
 def test_collision_ordering_on_best_classes():
     for n in (10, 12):
         p, _ = choose_params(n)
-        r = verify_collision_ordering(p)
-        assert r.violations == 0
-        assert r.weight_mismatches == 0
-        assert r.deleted_symbol_mismatches == 0
-        assert set(r.case_counts) <= {"iv"}
-        assert r.collisions > 0  # the check must not pass vacuously here
+        r, _ = full_report(n, p, checks=("list2", "lemma2"))
+        assert r["lemma2_violations"] == 0
+        assert r["lemma2_weight_mismatches"] == 0
+        assert r["lemma2_deleted_symbol_mismatches"] == 0
+        assert set(r["lemma2_cases"]) <= {"iv"}
+        assert r["collision_count"] > 0  # the check must not pass vacuously here
 
 
 def test_collision_ordering_across_all_colliding_classes():
@@ -210,9 +211,9 @@ def test_collision_ordering_across_all_colliding_classes():
     keys = sorted({key for (key, _), members in cover.items() if len(members) >= 2})
     assert keys
     for key in keys:
-        r = verify_collision_ordering(params_from_bucket(n, key))
-        assert r.violations == 0
-        assert set(r.case_counts) <= {"iv"}
+        r, _ = full_report(n, params_from_bucket(n, key), checks=("lemma2",))
+        assert r["lemma2_violations"] == 0
+        assert set(r["lemma2_cases"]) <= {"iv"}
 
 
 # --- single-deletion balls ------------------------------------------------------
@@ -221,7 +222,8 @@ def test_collision_ordering_across_all_colliding_classes():
 def test_single_deletion_balls_disjoint_for_best_classes():
     for n in (8, 12):
         p, _ = choose_params(n)
-        assert verify_single_deletion(p)
+        report, _ = full_report(n, p, checks=("deletion",))
+        assert report["single_deletion_ok"] is True
 
 
 def test_deletion_disjointness_flags_a_real_overlap():
@@ -417,17 +419,6 @@ def test_full_report_lists_members_and_covers_once(monkeypatch):
     report, passed = full_report(14)
     assert passed and report["collision_count"] > 0
     assert calls == {"codeword_values": 1, "_cover": 1}
-    monkeypatch.undo()
-
-    # The one pass reports what the separate public checks report.
-    p = CodeParams(14, **report["params"])
-    cover = verify_list_size(p)
-    order = verify_collision_ordering(p)
-    assert report["max_list_size"] == cover.max_list_size
-    assert report["collision_count"] == cover.collision_count == order.collisions
-    assert report["lemma2_cases"] == dict(sorted(order.case_counts.items()))
-    assert report["lemma2_violations"] == order.violations
-    assert report["single_deletion_ok"] == verify_single_deletion(p)
 
 
 def test_full_report_rejects_an_empty_check_list():
@@ -444,6 +435,7 @@ def test_full_report_rejects_an_empty_check_list():
         (15, ("list2", "sign")),
         (13, ("deletion", "table1")),
         (1, ("table1",)),
+        (1, ("sign",)),
     ],
 )
 def test_full_report_checks_the_length_before_any_work(monkeypatch, n, checks):
