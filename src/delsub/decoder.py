@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .channel import ErrorEvent, Substitution, WeightWindowError, classify_weight_delta
 from .code import CodeParams, matches_value
-from .words import Word, delete_bit, flip_bit, get_bit, insert_bit
+from .words import Word, flip_bit, get_bit, insert_bit
 
 __all__ = [
     "DecodeResult",
@@ -39,22 +39,40 @@ class DecodeResult:
 
 
 def all_witnesses(x: Word, y: Word) -> list[ErrorEvent]:
-    """Every event mapping x to y: substitution events first, then by (d, e)."""
+    """Every event mapping x to y: substitution events first, then by (d, e).
+
+    Deleting position d leaves x_1..x_{d-1} facing y_1..y_{d-1} and
+    x_{d+1}..x_n facing y_d..y_{n-1}.  So two masks over y's positions
+    decide every d at once: A = (x >> 1) ^ y compares x_1..x_{n-1} with y
+    and B = (x mod 2^(n-1)) ^ y compares x_2..x_n with y.  Deleting d
+    leaves A's mismatches before d and B's from d on.  With a1 < a2 the
+    first two mismatches of A (n when absent) and b1 > b2 the last two of
+    B (0 when absent):
+
+    - d in (b2, min(b1, a1)] leaves only B's b1: witness (d, b1 + 1);
+    - d in (max(a1, b1), a2] leaves only A's a1: witness (d, a1);
+    - d in (b1, a1] leaves nothing: the pure deletion (d, None).
+
+    The first range lies below the second, so the substitutions come out
+    ordered by d.
+    """
     n = x.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit original length {n}")
-    subs = []
-    dels = []
-    for d in range(1, n + 1):
-        base = delete_bit(x.value, n, d)
-        diff = base ^ y.value
-        if diff == 0:
-            dels.append(ErrorEvent(d, None))
-        elif diff & (diff - 1) == 0:
-            # One mismatch after the deletion: a single flip explains it.
-            q = n - diff.bit_length()  # 1-based position of the mismatch in y
-            subs.append(ErrorEvent(d, q if q < d else q + 1))
-    return subs + dels
+    a = (x.value >> 1) ^ y.value
+    b = (x.value & ((1 << (n - 1)) - 1)) ^ y.value
+    # Position q of y is bit n-1-q, so the highest set bit is the first mismatch.
+    a1 = n - a.bit_length()
+    a2 = n - (a ^ (1 << (a.bit_length() - 1))).bit_length() if a else n
+    low = b & -b
+    b1 = n - low.bit_length() if b else 0
+    rest = b ^ low
+    b2 = n - (rest & -rest).bit_length() if rest else 0
+    return (
+        [ErrorEvent(d, b1 + 1) for d in range(b2 + 1, min(b1, a1) + 1)]
+        + [ErrorEvent(d, a1) for d in range(max(a1, b1) + 1, a2 + 1)]
+        + [ErrorEvent(d, None) for d in range(b1 + 1, a1 + 1)]
+    )
 
 
 def canonical_witness(x: Word, y: Word) -> ErrorEvent:

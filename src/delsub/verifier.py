@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .channel import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
-    ball_values,
     classify_weight_delta,
     iter_events,
 )
@@ -76,23 +77,42 @@ class _Coverage:
 def _cover(values: Sequence[int], n: int) -> _Coverage:
     """Cover every member's ball, then list the colliding (y, x, x') in order.
 
-    values must ascend, as codeword_values returns them.  Each received
-    word keeps its first three covering members, which are then the three
-    smallest: enough to tell 2 from broken.
+    values must ascend, as codeword_values returns them.  Each ball entry
+    is packed as y << k | i, with i the member's index in k bits, into one
+    uint64 array of members x n deletion results x (the result and its
+    n-1 single flips); at VERIFY_CEILING y and i take at most 55 bits.
+    One sort orders the entries by y and, within one y, by member; equal
+    neighbours are one member reaching y twice and are dropped.  Each run
+    of equal y then holds that word's covering members in ascending order.
+    The longest run is the max list size, counted up to 3, and each run
+    of two or more gives collisions from its first three members, the
+    three smallest: enough to tell 2 from broken.  Only those runs become
+    Python ints.
     """
-    cover: dict[int, tuple[int, ...]] = {}
-    for x in values:
-        for y in ball_values(x, n):
-            cur = cover.get(y)
-            if cur is None:
-                cover[y] = (x,)
-            elif len(cur) < 3:
-                cover[y] = cur + (x,)
-    hits = sorted((y, xs) for y, xs in cover.items() if len(xs) >= 2)
-    return _Coverage(
-        max((len(xs) for xs in cover.values()), default=0),
-        [(y, a, b) for y, xs in hits for a, b in combinations(xs, 2)],
-    )
+    if not values:
+        return _Coverage(0, [])
+    k = np.uint64((len(values) - 1).bit_length())
+    one = np.uint64(1)
+    xs = np.asarray(values, dtype=np.uint64)[:, None]
+    low = np.arange(n - 1, -1, -1, dtype=np.uint64)  # bits right of position d
+    dels = ((xs >> (low + one)) << low) | (xs & ((one << low) - one))
+    dels <<= k
+    dels |= np.arange(len(values), dtype=np.uint64)[:, None]
+    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    keys = (dels[:, :, None] ^ flips).ravel()
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    ys = keys >> k
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    sizes = np.diff(starts, append=len(ys))
+    hit = sizes >= 2
+    first = starts[hit]
+    mask = (one << k) - one
+    collisions = []
+    for y, s, size in zip(ys[first].tolist(), first.tolist(), sizes[hit].tolist()):
+        xs3 = [values[i] for i in (keys[s : s + min(size, 3)] & mask).tolist()]
+        collisions += [(y, a, b) for a, b in combinations(xs3, 2)]
+    return _Coverage(min(int(sizes.max()), 3), collisions)
 
 
 def _collision_record(n: int, y: int, a: int, b: int) -> dict:

@@ -12,6 +12,7 @@ from delsub import (
     apply_del_sub,
     canonical_witness,
     choose_params,
+    delete_bit,
     error_ball,
     is_codeword,
     list_decode,
@@ -81,6 +82,50 @@ def test_every_witness_reproduces_the_received_word(triple):
     assert wits, "a generated corruption must be witnessable"
     for ev in wits:
         assert apply_del_sub(x, ev) == y
+
+
+def _witnesses_by_definition(x, y):
+    """Oracle for all_witnesses: delete at every d, compare, read the single flip."""
+    n = x.n
+    subs = []
+    dels = []
+    for d in range(1, n + 1):
+        diff = delete_bit(x.value, n, d) ^ y.value
+        if diff == 0:
+            dels.append(ErrorEvent(d, None))
+        elif diff & (diff - 1) == 0:
+            # One mismatch after the deletion: a single flip explains it.
+            q = n - diff.bit_length()  # 1-based position of the mismatch in y
+            subs.append(ErrorEvent(d, q if q < d else q + 1))
+    return subs + dels
+
+
+def test_all_witnesses_matches_the_definition_exhaustively():
+    for n in range(2, 10):
+        for xv in range(1 << n):
+            x = Word(n, xv)
+            for yv in range(1 << (n - 1)):
+                y = Word(n - 1, yv)
+                assert all_witnesses(x, y) == _witnesses_by_definition(x, y), (x, y)
+
+
+@st.composite
+def wide_pairs(draw, max_n=96):
+    """A word of any length up to max_n and either a corruption of it or any y."""
+    n = draw(st.integers(2, max_n))
+    x = Word(n, draw(st.integers(0, (1 << n) - 1)))
+    if draw(st.booleans()):
+        return x, Word(n - 1, draw(st.integers(0, (1 << (n - 1)) - 1)))
+    d = draw(st.integers(1, n))
+    e = draw(st.sampled_from([None] + [i for i in range(1, n + 1) if i != d]))
+    return x, apply_del_sub(x, ErrorEvent(d, e))
+
+
+@given(wide_pairs())
+@settings(max_examples=300, deadline=None)
+def test_all_witnesses_matches_the_definition_beyond_64_bits(pair):
+    x, y = pair
+    assert all_witnesses(x, y) == _witnesses_by_definition(x, y)
 
 
 # --- decoding the bundled fixture ---------------------------------------------

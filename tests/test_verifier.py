@@ -1,11 +1,18 @@
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import (
+    VERIFY_CEILING,
     CodeParams,
     ErrorEvent,
     Word,
+    ball_values,
+    bucket_counts,
     choose_params,
     classify_case,
     codeword_values,
@@ -26,7 +33,7 @@ from delsub import (
     vt_syndrome,
     witness_pair_cases,
 )
-from delsub.verifier import _case_lambdas, _deletion_balls_disjoint, _splittable
+from delsub.verifier import _case_lambdas, _cover, _deletion_balls_disjoint, _splittable
 
 W = Word.from_text
 
@@ -107,6 +114,54 @@ def test_every_class_respects_the_two_candidate_bound():
         assert max(len(s) for s in cover.values()) <= 2
 
 
+def _cover_oracle(values, n):
+    """Dict-based coverage of ascending values: (max list size up to 3, collisions)."""
+    cover: dict[int, tuple[int, ...]] = {}
+    for x in values:
+        for y in ball_values(x, n):
+            cur = cover.get(y)
+            if cur is None:
+                cover[y] = (x,)
+            elif len(cur) < 3:
+                cover[y] = cur + (x,)
+    hits = sorted((y, xs) for y, xs in cover.items() if len(xs) >= 2)
+    return (
+        max((len(xs) for xs in cover.values()), default=0),
+        [(y, a, b) for y, xs in hits for a, b in combinations(xs, 2)],
+    )
+
+
+def _assert_cover_matches_oracle(values, n):
+    cov = _cover(values, n)
+    assert (cov.max_list_size, cov.collisions) == _cover_oracle(values, n)
+    return cov
+
+
+def test_cover_matches_the_oracle_on_every_class_n9():
+    n = 9
+    seen = 0
+    for key in np.flatnonzero(bucket_counts(n)).tolist():
+        values = codeword_values(params_from_bucket(n, key)).tolist()
+        seen += len(_assert_cover_matches_oracle(values, n).collisions) > 0
+    assert seen > 0
+
+
+def test_cover_matches_the_oracle_on_best_classes():
+    for n in range(2, 21):
+        p, _ = choose_params(n)
+        _assert_cover_matches_oracle(codeword_values(p).tolist(), n)
+
+
+def test_cover_keeps_the_three_smallest_of_a_crowded_word():
+    # Not a class: every non-constant 6-bit word.  Many received words have
+    # more than three covering members, so only the three smallest count.
+    cov = _assert_cover_matches_oracle(list(range(1, 63)), 6)
+    assert cov.max_list_size == 3
+    per_word = Counter(y for y, _, _ in cov.collisions)
+    assert max(per_word.values()) == 3  # the three pairs of the three smallest
+    assert _cover([], 6).max_list_size == 0
+
+
 def _list2(n, p=None, **kwargs):
     report, _ = full_report(n, p, checks=("list2",), **kwargs)
     return report
@@ -165,6 +220,15 @@ def test_verify_ceiling():
         _list2(30, CodeParams(30, 0, 0, 0))
 
 
+def test_full_report_at_the_ceiling():
+    report, passed = full_report(VERIFY_CEILING)
+    assert passed
+    assert report["max_list_size"] == 2
+    assert report["collision_count"] > 0
+    assert report["lemma2_violations"] == 0
+    assert report["single_deletion_ok"] is True
+
+
 def test_singleton_class_covers_its_own_ball():
     x = W("10110100")
     p = params_of(x)
@@ -176,10 +240,6 @@ def test_singleton_class_covers_its_own_ball():
 
 
 def test_empty_class_report():
-    import numpy as np
-
-    from delsub import bucket_counts
-
     n = 8
     counts = bucket_counts(n)
     idx = int(np.flatnonzero(counts == 0)[0])
