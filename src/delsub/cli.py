@@ -2,8 +2,7 @@
 
 Every subcommand takes --format json|text (default json) and emits a
 single document on stdout.  Exit codes: 0 success, 1 a check failed,
-2 usage error.  The --workers option and the DELSUB_WORKERS variable are
-accepted and ignored: counting and enumeration run in one thread.
+2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .channel import error_ball
-from .code import CodeParams, choose_params, is_codeword
+from .code import SCAN_CEILING, CodeParams, choose_params, is_codeword
 from .decoder import list_decode
 from .scenarios import replay
 from .verifier import ALL_CHECKS, DEFAULT_CHECKS, full_report, redundancy_table, smoke_report
@@ -94,6 +93,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    # A ball holds about n^2 words of n-1 bits: at most about 240 KB of
+    # JSON at SCAN_CEILING, unbounded without a limit.
+    if args.n > SCAN_CEILING:
+        raise ValueError(f"ball supports n <= {SCAN_CEILING}, got {args.n}")
     w = _word(args.word, args.n, "--word")
     ball = sorted(error_ball(w))
     doc = {"n": args.n, "word": str(w), "size": len(ball), "ball": [str(y) for y in ball]}
@@ -187,18 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, workers: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if workers:
-            p.add_argument(
-                "--workers",
-                type=int,
-                help="no-op, kept for existing scripts: the work runs in one thread",
-            )
 
     p = sub.add_parser("construct", help="pick the largest residue class at length n")
     p.add_argument("--n", type=int, required=True)
-    common(p, workers=True)
+    common(p)
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("check", help="test one word for class membership")
@@ -232,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", type=int, metavar="SAMPLES", help="sampled spot checks instead of exhaustion")
     p.add_argument("--seed", type=int, help="smoke-mode RNG seed")
     p.add_argument("--timing", action="store_true", help="include elapsed seconds in the report")
-    common(p, workers=True)
+    common(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("table", help="redundancy of the best class per length")
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
-    common(p, workers=True)
+    common(p)
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("examples", help="replay the bundled corruption scenarios")

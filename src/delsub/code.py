@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -194,7 +195,13 @@ def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
 
 
 def codeword_values(p: CodeParams) -> np.ndarray:
-    """All members of the class as packed values, ascending.
+    """All members of the class as packed values, ascending."""
+    _check_scan_n(p.n)
+    return _list_values(p, int(bucket_counts(p.n)[p.bucket_index]))
+
+
+def _list_values(p: CodeParams, size: int) -> np.ndarray:
+    """codeword_values for a class already counted to hold size members.
 
     Prefixes grow one position at a time, 0 before 1, and a prefix is kept
     only when the reachability table says some suffix completes it into the
@@ -202,8 +209,6 @@ def codeword_values(p: CodeParams) -> np.ndarray:
     words, and values stay in ascending order.
     """
     n = p.n
-    _check_scan_n(n)
-    size = int(bucket_counts(n)[p.bucket_index])
     need = n * 16 * n**3 + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
     if need > ENUMERATION_BYTE_CAP:
         raise ValueError(
@@ -221,6 +226,29 @@ def codeword_values(p: CodeParams) -> np.ndarray:
         values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
     top = np.uint64((1 << n) - 1)
     return values[(values != 0) & (values != top)]
+
+
+def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
+    """Endless members of a class with at least one, drawn without listing.
+
+    Each draw walks down the reachability table from the empty prefix,
+    picking at each position one of the bits whose next state some suffix
+    still completes into the class, and starts over when it ends on a
+    constant word.  Every member can be drawn, but not with equal
+    probability.  Only the table (n * 16n^3 bytes) is allocated, so any
+    length up to SCAN_CEILING stays under ENUMERATION_BYTE_CAP.
+    """
+    n = p.n
+    reach = _reachability(p)
+    top = (1 << n) - 1
+    while True:
+        state = value = 0
+        for k in range(1, n + 1):
+            steps = [(0, state), (1, int(_set_position(state, n, k)))]
+            bit, state = rng.choice([(b, s) for b, s in steps if reach[k - 1][s]])
+            value = value << 1 | bit
+        if value not in (0, top):
+            yield value
 
 
 def enumerate_code(p: CodeParams) -> Iterator[Word]:

@@ -4,9 +4,11 @@ Everything here is enumeration, not proof: corruption balls of whole
 classes are intersected, syndrome-equal word pairs are scanned for
 sign-splittable difference vectors, and the weight-drop table is checked
 on every word/event combination.  full_report is the one entry point for
-the list2, lemma2 and deletion checks: it lists a class's members once,
-covers their balls once and walks the colliding triples once.  Sampled
-shortcuts live only in the separate smoke mode and are labeled as such.
+the list2, lemma2 and deletion checks: it counts the classes once, lists
+the members once, feeds the ball coverage and the deletion check from one
+packing of their deletion results and walks the colliding triples once.
+Sampled shortcuts live only in the separate smoke mode, which never lists
+a class, and are labeled as such.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .channel import (
     classify_weight_delta,
     iter_events,
 )
-from .code import CodeParams, CodeStats, choose_params, codeword_values
+from .code import CodeParams, CodeStats, _list_values, _random_members, bucket_counts, choose_params
 from .decoder import DecodeResult, ListBoundError, all_witnesses, canonical_witness, list_decode
 from .syndromes import suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
@@ -74,34 +76,50 @@ class _Coverage:
     collisions: list[tuple[int, int, int]]  # (y, x, x') with x < x', ascending
 
 
-def _cover(values: Sequence[int], n: int) -> _Coverage:
-    """Cover every member's ball, then list the colliding (y, x, x') in order.
+def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:
+    """Every member's n pure-deletion results, each packed as y << k | i.
 
-    values must ascend, as codeword_values returns them.  Each ball entry
-    is packed as y << k | i, with i the member's index in k bits, into one
-    uint64 array of members x n deletion results x (the result and its
-    n-1 single flips); at VERIFY_CEILING y and i take at most 55 bits.
-    One sort orders the entries by y and, within one y, by member; equal
-    neighbours are one member reaching y twice and are dropped.  Each run
-    of equal y then holds that word's covering members in ascending order.
-    The longest run is the max list size, counted up to 3, and each run
-    of two or more gives collisions from its first three members, the
-    three smallest: enough to tell 2 from broken.  Only those runs become
-    Python ints.
+    i is the member's index in k bits, so for ascending values the sorted
+    keys order the entries by y and, within one y, by member; at
+    VERIFY_CEILING y and i take at most 55 bits.  Returns the
+    (members, n) uint64 key array and k.
     """
-    if not values:
-        return _Coverage(0, [])
     k = np.uint64((len(values) - 1).bit_length())
     one = np.uint64(1)
     xs = np.asarray(values, dtype=np.uint64)[:, None]
     low = np.arange(n - 1, -1, -1, dtype=np.uint64)  # bits right of position d
-    dels = ((xs >> (low + one)) << low) | (xs & ((one << low) - one))
-    dels <<= k
-    dels |= np.arange(len(values), dtype=np.uint64)[:, None]
-    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
-    keys = (dels[:, :, None] ^ flips).ravel()
+    keys = ((xs >> (low + one)) << low) | (xs & ((one << low) - one))
+    keys <<= k
+    keys |= np.arange(len(values), dtype=np.uint64)[:, None]
+    return keys, k
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort flat keys in place; drop equal neighbours (one member reaching y twice)."""
     keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _cover(values: Sequence[int], n: int) -> _Coverage:
+    """Cover every member's ball, then list the colliding (y, x, x') in order.
+
+    values must ascend, as codeword_values returns them.  Each member's
+    packed deletion results and their n-1 single flips make one uint64
+    array of members x n x n ball entries, sorted with repeats dropped.
+    Each run of equal y then holds that word's covering members in
+    ascending order.  The longest run is the max list size, counted up to
+    3, and each run of two or more gives collisions from its first three
+    members, the three smallest: enough to tell 2 from broken.  Only those
+    runs become Python ints.
+    """
+    if not values:
+        return _Coverage(0, [])
+    dels, k = _packed_deletions(values, n)
+    one = np.uint64(1)
+    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    keys = _sorted_unique((dels[:, :, None] ^ flips).ravel())
     ys = keys >> k
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
     sizes = np.diff(starts, append=len(ys))
@@ -210,17 +228,12 @@ def _collision_ordering(n: int, cov: _Coverage) -> dict:
     }
 
 
-def _deletion_balls_disjoint(values: Iterable[int], n: int) -> bool:
+def _deletion_balls_disjoint(values: Sequence[int], n: int) -> bool:
     """True iff no two distinct members share a pure-deletion result."""
-    seen: dict[int, int] = {}
-    for x in values:
-        reach = {delete_bit(x, n, d) for d in range(1, n + 1)}
-        for y in reach:
-            other = seen.get(y)
-            if other is not None and other != x:
-                return False
-            seen[y] = x
-    return True
+    keys, k = _packed_deletions(values, n)
+    # With repeats dropped, neighbouring keys that share y come from two members.
+    ys = _sorted_unique(keys.ravel()) >> k
+    return not (ys[1:] == ys[:-1]).any()
 
 
 @dataclass
@@ -414,6 +427,16 @@ def _params_dict(p: CodeParams) -> dict:
     return {"c0": p.c0, "c1": p.c1, "c2": p.c2}
 
 
+def _resolve_class(n: int, params: CodeParams | None) -> tuple[CodeParams, bool, int]:
+    """(params, auto, size) of a report's class, from one count of the classes."""
+    if params is None:
+        params, stats = choose_params(n)
+        return params, True, stats.size
+    if params.n != n:
+        raise ValueError(f"params are for n={params.n}, not n={n}")
+    return params, False, int(bucket_counts(n)[params.bucket_index])
+
+
 ALL_CHECKS = tuple(_CHECK_RANGES)
 DEFAULT_CHECKS = ("list2", "lemma2", "deletion")
 
@@ -428,11 +451,11 @@ def full_report(
 ) -> tuple[dict, bool]:
     """Run the selected checks and assemble one report dict.
 
-    The only way to run list2, lemma2 and deletion.  Members are listed
-    once and their balls covered once; list2 and lemma2 read the same
-    ascending walk over the colliding (y, x, x') triples, and list2 keeps
-    at most max_collisions records while its count stays exact.
-    Returns (report, passed).  Timing is opt-in so identical runs emit
+    The only way to run list2, lemma2 and deletion.  The classes are
+    counted once, members listed once and their balls covered once; list2
+    and lemma2 read the same ascending walk over the colliding (y, x, x')
+    triples, and list2 keeps at most max_collisions records while its
+    count stays exact.  Returns (report, passed).  Timing is opt-in so identical runs emit
     byte-identical JSON.
     """
     if not checks:
@@ -445,14 +468,9 @@ def full_report(
     for check in checks:
         _check_n(check, n)
     start = time.perf_counter()
-    auto = params is None
-    if auto:
-        params, _ = choose_params(n)
-    elif params.n != n:
-        raise ValueError(f"params are for n={params.n}, not n={n}")
-
-    values = codeword_values(params).tolist()
-    stats = CodeStats(n, len(values))
+    params, auto, size = _resolve_class(n, params)
+    values = _list_values(params, size).tolist()
+    stats = CodeStats(n, size)
     report: dict = {
         "n": n,
         "params": _params_dict(params),
@@ -519,19 +537,18 @@ def smoke_report(
 
     Smoke, not verification: random corruptions of randomly drawn
     codewords must decode back, and no decode may ever list more than
-    two candidates.
+    two candidates.  The class is counted once and never listed: each
+    codeword comes from a random walk down its reachability table, which
+    reaches every member but is not uniform over them, so any length up
+    to SCAN_CEILING runs.
     """
     if samples < 1:
         raise ValueError(f"smoke sampling needs samples >= 1, got {samples}")
     rng = random.Random(seed)
-    auto = params is None
-    if auto:
-        params, _ = choose_params(n)
-    elif params.n != n:
-        raise ValueError(f"params are for n={params.n}, not n={n}")
-    members = codeword_values(params).tolist()
-    if not members:
+    params, auto, size = _resolve_class(n, params)
+    if size == 0:
         raise ValueError(f"{params} has no members to sample")
+    draws = _random_members(params, rng)
     completeness_failures = bound_failures = 0
     max_list_seen = 0
 
@@ -546,7 +563,7 @@ def smoke_report(
         return res
 
     for _ in range(samples):
-        x = rng.choice(members)
+        x = next(draws)
         d = rng.randrange(1, n + 1)
         e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
         w = x if e is None else flip_bit(x, n, e)

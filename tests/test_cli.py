@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsub import choose_params
+from delsub import SCAN_CEILING, choose_params
 from delsub.cli import main
 
 
@@ -50,12 +50,6 @@ def test_construct_json(capsys):
     assert list(doc) == ["n", "c0", "c1", "c2", "size", "redundancy"]
 
 
-def test_construct_byte_identical_across_workers(capsys):
-    _, out1, _ = run(capsys, "construct", "--n", "14", "--workers", "1")
-    _, out2, _ = run(capsys, "construct", "--n", "14", "--workers", "3")
-    assert out1 == out2
-
-
 def test_construct_text_format(capsys):
     code, out, _ = run(capsys, "construct", "--n", "8", "--format", "text")
     assert code == 0
@@ -72,6 +66,12 @@ def test_construct_above_the_ceiling_is_usage_error(capsys):
     code, out, err = run(capsys, "construct", "--n", "63")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_workers_option_is_gone(capsys):
+    code, out, err = run_usage_error(capsys, "construct", "--n", "8", "--workers", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "--workers" in err
 
 
 def test_workers_env_default(capsys, monkeypatch):
@@ -170,6 +170,14 @@ def test_ball_entries_sorted_and_sized(capsys):
     assert doc["ball"] == sorted(doc["ball"], key=lambda t: int(t, 2))
 
 
+def test_ball_up_to_the_length_bound(capsys):
+    code, doc = run_json(capsys, "ball", "--n", str(SCAN_CEILING), "--word", "10" * 31)
+    assert code == 0 and doc["size"] == len(doc["ball"]) > 0
+    code, out, err = run(capsys, "ball", "--n", str(SCAN_CEILING + 1), "--word", "1" * 63)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # --- verify --------------------------------------------------------------------
 
 
@@ -202,12 +210,6 @@ def test_verify_all_checks_with_params(capsys):
     assert doc["sign_counterexamples"] == 0
 
 
-def test_verify_byte_identical_across_workers(capsys):
-    _, out1, _ = run(capsys, "verify", "--n", "12", "--workers", "1")
-    _, out2, _ = run(capsys, "verify", "--n", "12", "--workers", "4")
-    assert out1 == out2
-
-
 def test_verify_timing_flag_adds_elapsed(capsys):
     code, doc = run_json(capsys, "verify", "--n", "8", "--timing")
     assert code == 0 and doc["elapsed"] > 0
@@ -231,6 +233,15 @@ def test_verify_smoke_mode_above_the_full_check_range(capsys):
     assert code == 0
     assert doc["mode"] == "smoke" and doc["n"] == 36 and doc["pass"] is True
     assert doc["decode_trials"] == 20
+
+
+def test_verify_smoke_mode_at_the_counting_ceiling(capsys):
+    code, doc = run_json(capsys, "verify", "--smoke", "5", "--n", str(SCAN_CEILING))
+    assert code == 0
+    assert doc["n"] == SCAN_CEILING and doc["pass"] is True
+    code, out, err = run(capsys, "verify", "--smoke", "5", "--n", str(SCAN_CEILING + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_verify_negative_max_collisions_is_usage_error(capsys):
@@ -366,15 +377,15 @@ REQUIRED = {
     "bogus": [],
 }
 OPTIONAL = {
-    "construct": ["--format", "--workers"],
+    "construct": ["--format"],
     "check": ["--format"],
     "decode": ["--format"],
     "ball": ["--format"],
     "verify": [
         "--params", "--checks", "--max-collisions", "--smoke", "--seed", "--timing",
-        "--format", "--workers",
+        "--format",
     ],
-    "table": ["--format", "--workers"],
+    "table": ["--format"],
     "examples": ["--format"],
     "bogus": [],
 }

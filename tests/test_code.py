@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from delsub import (
     params_of,
     wt_f1_f2,
 )
+from delsub.code import _random_members
 
 W = Word.from_text
 
@@ -251,6 +253,35 @@ def test_codeword_values_match_membership_filter(n, data):
     got = codeword_values(p)
     assert got.dtype == np.uint64
     assert got.tolist() == [v for v in range(1 << n) if matches_value(p, v)]
+
+
+def test_random_members_draw_only_and_every_member():
+    """Support, not uniformity: every non-empty class at n <= 10."""
+    for n in range(2, 11):
+        for key in np.flatnonzero(bucket_counts(n)).tolist():
+            p = params_from_bucket(n, key)
+            members = set(codeword_values(p).tolist())
+            draws = _random_members(p, random.Random(key))
+            seen = set()
+            for _ in range(64 * len(members)):
+                x = next(draws)
+                assert matches_value(p, x)
+                seen.add(x)
+                if seen == members:
+                    break
+            assert seen == members
+
+
+def test_random_members_skip_the_constant_words():
+    # The first lengths whose constant words share a class with members
+    # (1, 6 and 2 of them), so a walk can end on 0^n or 1^n there.
+    for n in (17, 19, 20):
+        for w in (Word.zeros(n), Word.ones(n)):
+            p = params_of(w)
+            members = set(codeword_values(p).tolist())
+            assert members
+            draws = _random_members(p, random.Random(n))
+            assert {next(draws) for _ in range(50 * len(members))} == members
 
 
 def test_codeword_values_refuses_a_class_over_the_memory_cap():

@@ -16,6 +16,7 @@ from delsub import (
     choose_params,
     classify_case,
     codeword_values,
+    delete_bit,
     error_ball,
     flip_bit,
     full_report,
@@ -292,6 +293,57 @@ def test_deletion_disjointness_flags_a_real_overlap():
     assert _deletion_balls_disjoint([0b10], 2)
 
 
+def _deletion_oracle(values, n):
+    """Dict walk: True iff no two distinct members share a pure-deletion result."""
+    seen: dict[int, int] = {}
+    for x in values:
+        for y in {delete_bit(x, n, d) for d in range(1, n + 1)}:
+            other = seen.get(y)
+            if other is not None and other != x:
+                return False
+            seen[y] = x
+    return True
+
+
+def _assert_deletion_matches_oracle(values, n):
+    got = _deletion_balls_disjoint(values, n)
+    assert type(got) is bool and got == _deletion_oracle(values, n)  # the report emits it as JSON
+    return got
+
+
+def test_deletion_matches_the_oracle_on_every_class_n9():
+    n = 9
+    classes = [
+        codeword_values(params_from_bucket(n, key)).tolist()
+        for key in np.flatnonzero(bucket_counts(n)).tolist()
+    ]
+    assert all(_assert_deletion_matches_oracle(values, n) for values in classes)
+    # Unions of neighbouring classes are no codes, so both answers occur.
+    outcomes = Counter(
+        _assert_deletion_matches_oracle(sorted(a + b), n) for a, b in zip(classes, classes[1:])
+    )
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_deletion_matches_the_oracle_on_best_classes():
+    for n in range(2, 21):
+        p, _ = choose_params(n)
+        assert _assert_deletion_matches_oracle(codeword_values(p).tolist(), n)
+
+
+def test_deletion_flags_crowded_words():
+    # Not a class: every non-constant 6-bit word.
+    assert not _assert_deletion_matches_oracle(list(range(1, 63)), 6)
+
+
+def test_deletion_within_a_run_is_no_collision():
+    # Deleting either bit of a run reaches one word: "0110" -> "010" twice,
+    # "110" twice and "011" twice, yet one member collides with nothing.
+    for values, n in (([0b0110], 4), ([0b110], 3), ([0b0110, 0b1001], 4)):
+        assert _assert_deletion_matches_oracle(values, n)
+    assert _deletion_balls_disjoint([], 5)
+
+
 # --- sign-split scan -------------------------------------------------------------
 
 
@@ -460,25 +512,59 @@ def test_full_report_explicit_params_and_unknown_check():
         full_report(8, CodeParams(10, 0, 0, 0))
 
 
-def test_full_report_lists_members_and_covers_once(monkeypatch):
-    import delsub.verifier as verifier
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) so its calls are counted under name."""
+    calls = {name: 0 for _, name in targets}
 
-    calls = {"codeword_values": 0, "_cover": 0}
-
-    def counted(name):
-        real = getattr(verifier, name)
-
+    def counted(real, name):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(verifier, name, counted(name))
-    report, passed = full_report(14)
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    return calls
+
+
+def _forbid(monkeypatch, targets, why):
+    def forbidden(*args, **kwargs):
+        pytest.fail(why)
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_full_report_lists_members_and_covers_once(monkeypatch, explicit):
+    import delsub.code as code
+    import delsub.verifier as verifier
+
+    p = choose_params(14)[0] if explicit else None
+    # choose_params counts through the code module's name, the explicit
+    # path through the verifier's; both count under one key.
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (code, "bucket_counts"),
+            (verifier, "bucket_counts"),
+            (code, "codeword_values"),
+            (verifier, "_list_values"),
+            (verifier, "_cover"),
+            (verifier, "_packed_deletions"),
+        ],
+    )
+    report, passed = full_report(14, p)
     assert passed and report["collision_count"] > 0
-    assert calls == {"codeword_values": 1, "_cover": 1}
+    assert report["auto_params"] is not explicit
+    assert calls == {
+        "bucket_counts": 1,
+        "codeword_values": 0,
+        "_list_values": 1,
+        "_cover": 1,
+        "_packed_deletions": 2,  # one packing each for list2/lemma2 and deletion
+    }
 
 
 def test_full_report_rejects_an_empty_check_list():
@@ -499,13 +585,20 @@ def test_full_report_rejects_an_empty_check_list():
     ],
 )
 def test_full_report_checks_the_length_before_any_work(monkeypatch, n, checks):
+    import delsub.code as code
     import delsub.verifier as verifier
 
-    def forbidden(*args, **kwargs):
-        pytest.fail("a class was counted or listed before the length check")
-
-    monkeypatch.setattr(verifier, "codeword_values", forbidden)
-    monkeypatch.setattr(verifier, "choose_params", forbidden)
+    _forbid(
+        monkeypatch,
+        [
+            (code, "bucket_counts"),
+            (code, "codeword_values"),
+            (verifier, "bucket_counts"),
+            (verifier, "choose_params"),
+            (verifier, "_list_values"),
+        ],
+        "a class was counted or listed before the length check",
+    )
     with pytest.raises(ValueError, match=checks[-1]):
         full_report(n, checks=checks)
     if n >= 2:
@@ -530,3 +623,22 @@ def test_smoke_report_is_deterministic():
     assert a["mode"] == "smoke"
     c, _ = smoke_report(10, samples=8, seed=43)
     assert c != a or c["seed"] != a["seed"]
+    p = CodeParams(30, 1, 2, 3)
+    assert smoke_report(30, p, samples=6, seed=5) == smoke_report(30, p, samples=6, seed=5)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_smoke_report_counts_once_and_never_lists(monkeypatch, explicit):
+    import delsub.code as code
+    import delsub.verifier as verifier
+
+    p = choose_params(20)[0] if explicit else None
+    _forbid(
+        monkeypatch,
+        [(code, "codeword_values"), (code, "_list_values"), (verifier, "_list_values")],
+        "smoke mode listed the class",
+    )
+    calls = _count_calls(monkeypatch, [(code, "bucket_counts"), (verifier, "bucket_counts")])
+    report, passed = smoke_report(20, p, samples=10, seed=3)
+    assert passed and report["auto_params"] is not explicit
+    assert calls == {"bucket_counts": 1}
