@@ -536,8 +536,15 @@ def _forbid(monkeypatch, targets, why):
         monkeypatch.setattr(module, name, forbidden)
 
 
-@pytest.mark.parametrize("explicit", [False, True])
-def test_full_report_lists_members_and_covers_once(monkeypatch, explicit):
+def test_full_report_lists_members_and_covers_once(monkeypatch):
+    _check_lists_members_and_covers_once(monkeypatch, explicit=False)
+
+
+def test_full_report_lists_members_and_covers_once_for_explicit_params(monkeypatch):
+    _check_lists_members_and_covers_once(monkeypatch, explicit=True)
+
+
+def _check_lists_members_and_covers_once(monkeypatch, explicit):
     import delsub.code as code
     import delsub.verifier as verifier
 
