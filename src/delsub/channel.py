@@ -61,14 +61,12 @@ WEIGHT_DELTA_TABLE: dict[tuple[int, Substitution], int] = {
     (0, Substitution.ZERO_TO_ONE): -1,
 }
 
-# Canonical exactly-one-substitution reading of each possible weight drop.
-# Drops 0 and 1 also arise from pure deletions, but on any non-constant
-# word those re-express as a deletion plus one substitution.
+# Canonical exactly-one-substitution reading of each possible weight drop:
+# the substitution rows of WEIGHT_DELTA_TABLE, inverted.  Drops 0 and 1
+# also arise from pure deletions, but on any non-constant word those
+# re-express as a deletion plus one substitution.
 CANONICAL_CLASS_BY_DELTA: dict[int, tuple[int, Substitution]] = {
-    -1: (0, Substitution.ZERO_TO_ONE),
-    0: (1, Substitution.ZERO_TO_ONE),
-    1: (0, Substitution.ONE_TO_ZERO),
-    2: (1, Substitution.ONE_TO_ZERO),
+    delta: key for key, delta in WEIGHT_DELTA_TABLE.items() if key[1] is not Substitution.NONE
 }
 
 

@@ -40,6 +40,20 @@ ENUMERATION_BYTE_CAP = 1 << 29
 _BYTES_PER_PREFIX = 96
 
 
+def _moduli(n: int) -> tuple[int, int, int]:
+    """Moduli of the (c0, c1, c2) residues at length n: 4, 2n and 2n^2.
+
+    Also the shape of the class counter table, whose C-order ravel is the
+    flat bucket layout, so ascending index is lexicographic (c0, c1, c2).
+    """
+    return 4, 2 * n, 2 * n * n
+
+
+def _position_shift(i: int) -> tuple[int, int, int]:
+    """What a 1 at position i adds to (wt, f1, f2)."""
+    return 1, i, i * (i + 1) // 2
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Block length together with the (c0, c1, c2) residue triple.
@@ -57,28 +71,21 @@ class CodeParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"block length must be >= 2, got {self.n}")
-        if not 0 <= self.c0 < 4:
-            raise ValueError(f"c0 must lie in [0, 4), got {self.c0}")
-        if not 0 <= self.c1 < 2 * self.n:
-            raise ValueError(f"c1 must lie in [0, {2 * self.n}), got {self.c1}")
-        if not 0 <= self.c2 < 2 * self.n * self.n:
-            raise ValueError(f"c2 must lie in [0, {2 * self.n * self.n}), got {self.c2}")
+        for name, c, m in zip(("c0", "c1", "c2"), (self.c0, self.c1, self.c2), _moduli(self.n)):
+            if not 0 <= c < m:
+                raise ValueError(f"{name} must lie in [0, {m}), got {c}")
 
     @property
     def bucket_index(self) -> int:
         """Position of this triple in the flat (c0, c1, c2) counter table."""
-        n = self.n
-        return (self.c0 * 2 * n + self.c1) * (2 * n * n) + self.c2
+        return int(np.ravel_multi_index((self.c0, self.c1, self.c2), _moduli(self.n)))
 
 
 def params_from_bucket(n: int, index: int) -> CodeParams:
-    m1 = 2 * n
-    m2 = 2 * n * n
-    if not 0 <= index < 4 * m1 * m2:
+    shape = _moduli(n)
+    if not 0 <= index < math.prod(shape):
         raise ValueError(f"bucket index {index} out of range for n={n}")
-    c2 = index % m2
-    rest = index // m2
-    return CodeParams(n, rest // m1, rest % m1, c2)
+    return CodeParams(n, *map(int, np.unravel_index(index, shape)))
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,8 @@ class CodeStats:
 def params_of(x: Word) -> CodeParams:
     """The residue triple whose class would contain x."""
     wt, f1, f2 = wt_f1_f2(x.value, x.n)
-    n = x.n
-    return CodeParams(n, wt & 3, f1 % (2 * n), f2 % (2 * n * n))
+    m0, m1, m2 = _moduli(x.n)
+    return CodeParams(x.n, wt % m0, f1 % m1, f2 % m2)
 
 
 def matches_value(p: CodeParams, value: int) -> bool:
@@ -108,8 +115,8 @@ def matches_value(p: CodeParams, value: int) -> bool:
     if value == 0 or value == (1 << p.n) - 1:
         return False
     wt, f1, f2 = wt_f1_f2(value, p.n)
-    n = p.n
-    return wt & 3 == p.c0 and f1 % (2 * n) == p.c1 and f2 % (2 * n * n) == p.c2
+    m0, m1, m2 = _moduli(p.n)
+    return wt % m0 == p.c0 and f1 % m1 == p.c1 and f2 % m2 == p.c2
 
 
 def is_codeword(x: Word, p: CodeParams) -> bool:
@@ -124,15 +131,6 @@ def _check_scan_n(n: int) -> None:
         raise ValueError(f"class counting supports 2 <= n <= {SCAN_CEILING}, got {n}")
 
 
-def _table_shape(n: int) -> tuple[int, int, int]:
-    return 4, 2 * n, 2 * n * n
-
-
-def _position_shift(i: int) -> tuple[int, int, int]:
-    """What a 1 at position i adds to (wt, f1, f2)."""
-    return 1, i, i * (i + 1) // 2
-
-
 def _strip_constant_words(counts: np.ndarray, n: int) -> None:
     # 0^n and 1^n are excluded from every class by definition.
     for w in (Word.zeros(n), Word.ones(n)):
@@ -142,13 +140,13 @@ def _strip_constant_words(counts: np.ndarray, n: int) -> None:
 def bucket_counts(n: int) -> np.ndarray:
     """Size of every residue class, the two constant words excluded.
 
-    The flat layout is index = (c0 * 2n + c1) * 2n^2 + c2, so ascending
-    index order is lexicographic (c0, c1, c2) order.  The sizes are the
+    The flat layout is that of bucket_index, so ascending index order is
+    lexicographic (c0, c1, c2) order.  The sizes are the
     coefficients of prod_i (1 + t^(1, i, i(i+1)/2)) over Z4 x Z2n x Z2n^2,
     found in n passes over the 16n^3 cells with no scan of {0,1}^n.
     """
     _check_scan_n(n)
-    table = np.zeros(_table_shape(n), dtype=np.int64)
+    table = np.zeros(_moduli(n), dtype=np.int64)
     table[0, 0, 0] = 1  # the empty word
     for i in range(1, n + 1):
         # Factor i: every word so far either leaves position i at 0 or adds its shift.
@@ -176,7 +174,7 @@ def _reachability(p: CodeParams) -> np.ndarray:
     and that some choice of positions k+1..n still carries to p's triple.
     """
     n = p.n
-    reach = np.zeros((n,) + _table_shape(n), dtype=bool)
+    reach = np.zeros((n,) + _moduli(n), dtype=bool)
     reach[n - 1][p.c0, p.c1, p.c2] = True
     for k in range(n - 1, 0, -1):
         back = tuple(-v for v in _position_shift(k + 1))
@@ -186,12 +184,11 @@ def _reachability(p: CodeParams) -> np.ndarray:
 
 def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
     """Flat residue states after a 1 is placed at position i."""
-    m1 = 2 * n
-    m2 = 2 * n * n
+    m0, m1, m2 = _moduli(n)
     wt, rest = np.divmod(state, m1 * m2)
     f1, f2 = np.divmod(rest, m2)
-    _, d1, d2 = _position_shift(i)
-    return (((wt + 1) & 3) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
+    d0, d1, d2 = _position_shift(i)
+    return (((wt + d0) % m0) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
 
 
 def codeword_values(p: CodeParams) -> np.ndarray:
@@ -209,7 +206,7 @@ def _list_values(p: CodeParams, size: int) -> np.ndarray:
     words, and values stay in ascending order.
     """
     n = p.n
-    need = n * 16 * n**3 + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
+    need = n * math.prod(_moduli(n)) + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
     if need > ENUMERATION_BYTE_CAP:
         raise ValueError(
             f"listing the {size} members of {p} needs about {need} bytes, "

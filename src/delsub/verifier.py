@@ -85,11 +85,8 @@ def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uin
     (members, n) uint64 key array and k.
     """
     k = np.uint64((len(values) - 1).bit_length())
-    one = np.uint64(1)
     xs = np.asarray(values, dtype=np.uint64)[:, None]
-    low = np.arange(n - 1, -1, -1, dtype=np.uint64)  # bits right of position d
-    keys = ((xs >> (low + one)) << low) | (xs & ((one << low) - one))
-    keys <<= k
+    keys = delete_bit(xs, n, np.arange(1, n + 1, dtype=np.uint64)) << k
     keys |= np.arange(len(values), dtype=np.uint64)[:, None]
     return keys, k
 
@@ -102,12 +99,13 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def _cover(values: Sequence[int], n: int) -> _Coverage:
+def _cover(values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Coverage:
     """Cover every member's ball, then list the colliding (y, x, x') in order.
 
-    values must ascend, as codeword_values returns them.  Each member's
-    packed deletion results and their n-1 single flips make one uint64
-    array of members x n x n ball entries, sorted with repeats dropped.
+    values must ascend, as codeword_values returns them, and (dels, k) is
+    their _packed_deletions.  Each member's packed deletion results and
+    their n-1 single flips make one uint64 array of members x n x n ball
+    entries, sorted with repeats dropped.
     Each run of equal y then holds that word's covering members in
     ascending order.  The longest run is the max list size, counted up to
     3, and each run of two or more gives collisions from its first three
@@ -116,9 +114,8 @@ def _cover(values: Sequence[int], n: int) -> _Coverage:
     """
     if not values:
         return _Coverage(0, [])
-    dels, k = _packed_deletions(values, n)
     one = np.uint64(1)
-    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    flips = np.array([0] + [1 << q for q in range(dels.shape[1] - 1)], dtype=np.uint64) << k
     keys = _sorted_unique((dels[:, :, None] ^ flips).ravel())
     ys = keys >> k
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
@@ -151,6 +148,20 @@ def _collision_record(n: int, y: int, a: int, b: int) -> dict:
     }
 
 
+# Ordering case by the ranges (1 before d1, 2 between, 3 after d2) of e1 and e2.
+_CASE_BY_RANGES = {
+    (1, 1): "i",
+    (1, 2): "ii",
+    (2, 1): "ii",
+    (1, 3): "iii",
+    (3, 1): "iii",
+    (2, 2): "iv",
+    (2, 3): "v",
+    (3, 2): "v",
+    (3, 3): "vi",
+}
+
+
 def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
     """Merged ordering case of the four positions, assuming d1 <= d2.
 
@@ -164,17 +175,7 @@ def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
         raise ValueError("substitution positions must differ from their deletions")
     a = 1 if e1 < d1 else (2 if e1 <= d2 else 3)
     b = 1 if e2 < d1 else (2 if e2 < d2 else 3)
-    return {
-        (1, 1): "i",
-        (1, 2): "ii",
-        (2, 1): "ii",
-        (1, 3): "iii",
-        (3, 1): "iii",
-        (2, 2): "iv",
-        (2, 3): "v",
-        (3, 2): "v",
-        (3, 3): "vi",
-    }[(a, b)]
+    return _CASE_BY_RANGES[(a, b)]
 
 
 def witness_pair_cases(
@@ -228,11 +229,10 @@ def _collision_ordering(n: int, cov: _Coverage) -> dict:
     }
 
 
-def _deletion_balls_disjoint(values: Sequence[int], n: int) -> bool:
-    """True iff no two distinct members share a pure-deletion result."""
-    keys, k = _packed_deletions(values, n)
+def _deletion_balls_disjoint(dels: np.ndarray, k: np.uint64) -> bool:
+    """True iff no two distinct members share a pure-deletion result (reads a copy of dels)."""
     # With repeats dropped, neighbouring keys that share y come from two members.
-    ys = _sorted_unique(keys.ravel()) >> k
+    ys = _sorted_unique(dels.flatten()) >> k
     return not (ys[1:] == ys[:-1]).any()
 
 
@@ -470,6 +470,7 @@ def full_report(
     start = time.perf_counter()
     params, auto, size = _resolve_class(n, params)
     values = _list_values(params, size).tolist()
+    dels, k = _packed_deletions(values, n)
     stats = CodeStats(n, size)
     report: dict = {
         "n": n,
@@ -489,7 +490,7 @@ def full_report(
     passed = True
 
     if "list2" in checks or "lemma2" in checks:
-        cov = _cover(values, n)
+        cov = _cover(values, dels, k)
     if "list2" in checks:
         report["max_list_size"] = cov.max_list_size
         report["collision_count"] = len(cov.collisions)
@@ -516,7 +517,7 @@ def full_report(
         report["table1_violations"] = v
         passed &= v == 0
     if "deletion" in checks:
-        ok = _deletion_balls_disjoint(values, n)
+        ok = _deletion_balls_disjoint(dels, k)
         report["single_deletion_ok"] = ok
         passed &= ok
 

@@ -74,14 +74,6 @@ def test_workers_option_is_gone(capsys):
     assert err.startswith("usage: ") and "--workers" in err
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("DELSUB_WORKERS", "2")
-    _, out_env, _ = run(capsys, "construct", "--n", "12")
-    monkeypatch.delenv("DELSUB_WORKERS")
-    _, out_plain, _ = run(capsys, "construct", "--n", "12")
-    assert out_env == out_plain
-
-
 # --- check ------------------------------------------------------------------
 
 

@@ -86,12 +86,15 @@ def _arange_classes(n):
 def test_params_validation():
     with pytest.raises(ValueError):
         CodeParams(1, 0, 0, 0)
-    with pytest.raises(ValueError):
-        CodeParams(8, 4, 0, 0)
-    with pytest.raises(ValueError):
-        CodeParams(8, 0, 16, 0)
-    with pytest.raises(ValueError):
-        CodeParams(8, 0, 0, 128)
+    # At n = 8 the residues lie in [0, 4), [0, 2n) = [0, 16) and [0, 2n^2) = [0, 128).
+    bounds = {"c0": 4, "c1": 16, "c2": 128}
+    zeros = dict.fromkeys(bounds, 0)
+    for field, bound in bounds.items():
+        for bad in (bound, -1):
+            message = rf"^{field} must lie in \[0, {bound}\), got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                CodeParams(8, **{**zeros, field: bad})
+        assert getattr(CodeParams(8, **{**zeros, field: bound - 1}), field) == bound - 1
 
 
 @given(st.integers(2, 24), st.data())

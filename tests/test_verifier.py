@@ -34,7 +34,13 @@ from delsub import (
     vt_syndrome,
     witness_pair_cases,
 )
-from delsub.verifier import _case_lambdas, _cover, _deletion_balls_disjoint, _splittable
+from delsub.verifier import (
+    _case_lambdas,
+    _cover,
+    _deletion_balls_disjoint,
+    _packed_deletions,
+    _splittable,
+)
 
 W = Word.from_text
 
@@ -133,7 +139,7 @@ def _cover_oracle(values, n):
 
 
 def _assert_cover_matches_oracle(values, n):
-    cov = _cover(values, n)
+    cov = _cover(values, *_packed_deletions(values, n))
     assert (cov.max_list_size, cov.collisions) == _cover_oracle(values, n)
     return cov
 
@@ -160,7 +166,7 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
     assert cov.max_list_size == 3
     per_word = Counter(y for y, _, _ in cov.collisions)
     assert max(per_word.values()) == 3  # the three pairs of the three smallest
-    assert _cover([], 6).max_list_size == 0
+    assert _cover([], *_packed_deletions([], 6)).max_list_size == 0
 
 
 def _list2(n, p=None, **kwargs):
@@ -287,10 +293,14 @@ def test_single_deletion_balls_disjoint_for_best_classes():
         assert report["single_deletion_ok"] is True
 
 
+def _disjoint(values, n):
+    return _deletion_balls_disjoint(*_packed_deletions(values, n))
+
+
 def test_deletion_disjointness_flags_a_real_overlap():
     # "10" and "01" both reach "0" and "1" by one deletion.
-    assert not _deletion_balls_disjoint([0b10, 0b01], 2)
-    assert _deletion_balls_disjoint([0b10], 2)
+    assert not _disjoint([0b10, 0b01], 2)
+    assert _disjoint([0b10], 2)
 
 
 def _deletion_oracle(values, n):
@@ -306,7 +316,7 @@ def _deletion_oracle(values, n):
 
 
 def _assert_deletion_matches_oracle(values, n):
-    got = _deletion_balls_disjoint(values, n)
+    got = _disjoint(values, n)
     assert type(got) is bool and got == _deletion_oracle(values, n)  # the report emits it as JSON
     return got
 
@@ -341,7 +351,7 @@ def test_deletion_within_a_run_is_no_collision():
     # "110" twice and "011" twice, yet one member collides with nothing.
     for values, n in (([0b0110], 4), ([0b110], 3), ([0b0110, 0b1001], 4)):
         assert _assert_deletion_matches_oracle(values, n)
-    assert _deletion_balls_disjoint([], 5)
+    assert _disjoint([], 5)
 
 
 # --- sign-split scan -------------------------------------------------------------
@@ -570,7 +580,7 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
         "codeword_values": 0,
         "_list_values": 1,
         "_cover": 1,
-        "_packed_deletions": 2,  # one packing each for list2/lemma2 and deletion
+        "_packed_deletions": 1,  # one packing for list2/lemma2 and deletion
     }
 
 
