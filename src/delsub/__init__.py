@@ -67,7 +67,6 @@ from .verifier import (
     smoke_report,
     verify_sign_split,
     verify_weight_deltas,
-    witness_pair_cases,
 )
 from .words import Word, delete_bit, flip_bit, get_bit, insert_bit
 

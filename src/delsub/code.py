@@ -31,8 +31,8 @@ __all__ = [
 # 2^n - 2, stays below 2^63.
 SCAN_CEILING = 62
 
-# codeword_values refuses a class whose reachability table (n * 16n^3
-# bytes) and member arrays would together pass this many bytes.
+# codeword_values refuses a class whose packed reachability table
+# (n * 16n^3 / 8 bytes) and member arrays would together pass this many bytes.
 ENUMERATION_BYTE_CAP = 1 << 29
 # Peak working bytes per prefix of the last (widest) level: packed values
 # and flat states of the level, of its two-way expansion and of the
@@ -168,18 +168,28 @@ def choose_params(n: int) -> tuple[CodeParams, CodeStats]:
 
 
 def _reachability(p: CodeParams) -> np.ndarray:
-    """Backward reachability table, one row per prefix length.
+    """Backward reachability table, one bit-packed row per prefix length.
 
     Row k - 1 marks the flat residue states that positions 1..k may leave
-    and that some choice of positions k+1..n still carries to p's triple.
+    and that some choice of positions k+1..n still carries to p's triple;
+    _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes,
+    so the table takes n * 16n^3 / 8 bytes.
     """
     n = p.n
-    reach = np.zeros((n,) + _moduli(n), dtype=bool)
-    reach[n - 1][p.c0, p.c1, p.c2] = True
+    reach = np.zeros(_moduli(n), dtype=bool)
+    reach[p.c0, p.c1, p.c2] = True
+    packed = np.empty((n, reach.size // 8), dtype=np.uint8)
+    packed[n - 1] = np.packbits(reach, bitorder="little")
     for k in range(n - 1, 0, -1):
         back = tuple(-v for v in _position_shift(k + 1))
-        np.logical_or(reach[k], np.roll(reach[k], back, axis=(0, 1, 2)), out=reach[k - 1])
-    return reach.reshape(n, -1)
+        reach |= np.roll(reach, back, axis=(0, 1, 2))
+        packed[k - 1] = np.packbits(reach, bitorder="little")
+    return packed
+
+
+def _reached(row: np.ndarray, state: int | np.ndarray) -> bool | np.ndarray:
+    """Whether a packed reachability row marks each flat state (an int or int64 array)."""
+    return ((row[state >> 3] >> (state & 7)) & 1) == 1
 
 
 def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -206,7 +216,7 @@ def _list_values(p: CodeParams, size: int) -> np.ndarray:
     words, and values stay in ascending order.
     """
     n = p.n
-    need = n * math.prod(_moduli(n)) + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
+    need = n * math.prod(_moduli(n)) // 8 + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
     if need > ENUMERATION_BYTE_CAP:
         raise ValueError(
             f"listing the {size} members of {p} needs about {need} bytes, "
@@ -217,7 +227,7 @@ def _list_values(p: CodeParams, size: int) -> np.ndarray:
     state = np.zeros(1, dtype=np.int64)
     for k in range(1, n + 1):
         state = np.stack((state, _set_position(state, n, k)), axis=1).ravel()
-        keep = reach[k - 1][state]
+        keep = _reached(reach[k - 1], state)
         state = state[keep]
         twice = values << 1
         values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
@@ -232,8 +242,8 @@ def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
     picking at each position one of the bits whose next state some suffix
     still completes into the class, and starts over when it ends on a
     constant word.  Every member can be drawn, but not with equal
-    probability.  Only the table (n * 16n^3 bytes) is allocated, so any
-    length up to SCAN_CEILING stays under ENUMERATION_BYTE_CAP.
+    probability.  Only the packed table (n * 16n^3 / 8 bytes) is allocated,
+    so any length up to SCAN_CEILING stays under ENUMERATION_BYTE_CAP.
     """
     n = p.n
     reach = _reachability(p)
@@ -242,7 +252,7 @@ def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
         state = value = 0
         for k in range(1, n + 1):
             steps = [(0, state), (1, int(_set_position(state, n, k)))]
-            bit, state = rng.choice([(b, s) for b, s in steps if reach[k - 1][s]])
+            bit, state = rng.choice([(b, s) for b, s in steps if _reached(reach[k - 1], s)])
             value = value << 1 | bit
         if value not in (0, top):
             yield value

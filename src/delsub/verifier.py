@@ -6,7 +6,8 @@ sign-splittable difference vectors, and the weight-drop table is checked
 on every word/event combination.  full_report is the one entry point for
 the list2, lemma2 and deletion checks: it counts the classes once, lists
 the members once, feeds the ball coverage and the deletion check from one
-packing of their deletion results and walks the colliding triples once.
+packing of their deletion results and classifies the witness pairs of all
+colliding triples in one array pass.
 Sampled shortcuts live only in the separate smoke mode, which never lists
 a class, and are labeled as such.
 """
@@ -30,7 +31,7 @@ from .channel import (
     iter_events,
 )
 from .code import CodeParams, CodeStats, _list_values, _random_members, bucket_counts, choose_params
-from .decoder import DecodeResult, ListBoundError, all_witnesses, canonical_witness, list_decode
+from .decoder import DecodeResult, ListBoundError, canonical_witness, list_decode
 from .syndromes import suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
 
@@ -42,7 +43,6 @@ __all__ = [
     "verify_weight_deltas",
     "redundancy_table",
     "classify_case",
-    "witness_pair_cases",
     "predicted_suffix_profile",
     "full_report",
     "smoke_report",
@@ -73,7 +73,9 @@ class _Coverage:
     """One pass over a class's corruption balls."""
 
     max_list_size: int
-    collisions: list[tuple[int, int, int]]  # (y, x, x') with x < x', ascending
+    # The colliding (y, x, x') as three uint64 arrays, one row per triple,
+    # with x < x' and the rows ascending.
+    collisions: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:
@@ -99,35 +101,48 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def _cover(values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Coverage:
+# Member offsets, within a run, of the pairs of its first three members.
+_PAIR_OFFSETS = np.array([[0, 0, 1], [1, 2, 2]])
+
+
+def _cover(values: Sequence[int] | np.ndarray, dels: np.ndarray, k: np.uint64) -> _Coverage:
     """Cover every member's ball, then list the colliding (y, x, x') in order.
 
     values must ascend, as codeword_values returns them, and (dels, k) is
-    their _packed_deletions.  Each member's packed deletion results and
-    their n-1 single flips make one uint64 array of members x n x n ball
-    entries, sorted with repeats dropped.
-    Each run of equal y then holds that word's covering members in
-    ascending order.  The longest run is the max list size, counted up to
-    3, and each run of two or more gives collisions from its first three
-    members, the three smallest: enough to tell 2 from broken.  Only those
-    runs become Python ints.
+    their _packed_deletions.  Deleting any bit of a run of equal bits leaves
+    one word, so only the last deletion of each run is kept.  Its result and
+    the n-1 single flips of it make one uint64 array of ball entries, sorted
+    with repeats dropped.  Each run of equal y then holds that word's
+    covering members in ascending order.  The longest run is the max list
+    size, counted up to 3, and each run of two or more gives collisions from
+    its first three members, the three smallest: enough to tell 2 from
+    broken.
     """
-    if not values:
-        return _Coverage(0, [])
-    one = np.uint64(1)
+    if len(values) == 0:
+        empty = np.zeros(0, dtype=np.uint64)
+        return _Coverage(0, (empty, empty, empty))
+    run_end = np.ones(dels.shape, dtype=bool)
+    run_end[:, :-1] = dels[:, :-1] != dels[:, 1:]
     flips = np.array([0] + [1 << q for q in range(dels.shape[1] - 1)], dtype=np.uint64) << k
-    keys = _sorted_unique((dels[:, :, None] ^ flips).ravel())
-    ys = keys >> k
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-    sizes = np.diff(starts, append=len(ys))
-    hit = sizes >= 2
-    first = starts[hit]
-    mask = (one << k) - one
-    collisions = []
-    for y, s, size in zip(ys[first].tolist(), first.tolist(), sizes[hit].tolist()):
-        xs3 = [values[i] for i in (keys[s : s + min(size, 3)] & mask).tolist()]
-        collisions += [(y, a, b) for a, b in combinations(xs3, 2)]
-    return _Coverage(min(int(sizes.max()), 3), collisions)
+    keys = _sorted_unique((dels[run_end][:, None] ^ flips).ravel())
+    # y < 2^27 at VERIFY_CEILING, so its uint32 copy is exact.
+    ys = np.right_shift(keys, k, out=np.empty(len(keys), dtype=np.uint32), casting="same_kind")
+    same = np.zeros(len(keys), dtype=bool)  # entry j + 1 has entry j's y
+    np.equal(ys[1:], ys[:-1], out=same[:-1])
+    opens = same.copy()  # first entry of a run of two or more
+    opens[1:] &= ~same[:-1]
+    first = np.flatnonzero(opens)
+    three = same[first + 1]  # the run holds a third member
+    # A run of two gives its one pair, a longer run the three pairs of its
+    # first three members, in combinations order.
+    take = np.ones((len(first), 3), dtype=bool)
+    take[:, 1:] = three[:, None]
+    member = (np.uint64(1) << k) - np.uint64(1)
+    xs = np.asarray(values, dtype=np.uint64)
+    lo = keys[(first[:, None] + _PAIR_OFFSETS[0])[take]] & member
+    hi = keys[(first[:, None] + _PAIR_OFFSETS[1])[take]] & member
+    y = np.repeat(ys[first], take.sum(axis=1)).astype(np.uint64)
+    return _Coverage(1 + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
 
 
 def _collision_record(n: int, y: int, a: int, b: int) -> dict:
@@ -178,28 +193,58 @@ def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
     return _CASE_BY_RANGES[(a, b)]
 
 
-def witness_pair_cases(
-    x: Word, x_prime: Word, y: Word
-) -> list[tuple[str, ErrorEvent, ErrorEvent, bool]]:
-    """Ordering case of every substitution-witness pair, relabeled so d1 <= d2.
+# Case names in report order, and the case index by the two ranges' indices.
+_CASES = tuple(sorted(set(_CASE_BY_RANGES.values())))
+_CASE_TABLE = np.array(
+    [[_CASES.index(_CASE_BY_RANGES[(a, b)]) for b in (1, 2, 3)] for a in (1, 2, 3)]
+)
 
-    The returned events follow the relabeled order: the first event is the
-    one with the smaller deletion position (taken from x or x_prime as
-    needed).  The flag says whether the two deleted symbols agree: x at
-    x's deletion position against x_prime at x_prime's, which relabeling
-    does not change.
+
+def _case_indices(d1: np.ndarray, e1: np.ndarray, d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """classify_case on int64 arrays of valid positions, as indices into _CASES."""
+    a = (e1 >= d1).astype(np.intp) + (e1 > d2)
+    b = (e2 >= d1).astype(np.intp) + (e2 >= d2)
+    return _CASE_TABLE[a, b]
+
+
+def _smear(v: np.ndarray) -> np.ndarray:
+    """Each non-negative int64 with every bit below its highest set bit set too."""
+    for s in (1, 2, 4, 8, 16, 32):
+        v = v | (v >> s)
+    return v
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """int.bit_length of each non-negative int64."""
+    return np.bitwise_count(_smear(v)).astype(np.int64)
+
+
+def _substitution_witnesses(
+    n: int, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The substitution witnesses of all_witnesses(x, y) for int64 arrays of rows.
+
+    The same closed form: with a1 < a2 the first two mismatches of
+    A = (x >> 1) ^ y and b1 > b2 the last two of B = (x mod 2^(n-1)) ^ y,
+    the witnesses are d in (b2, min(b1, a1)] with e = b1 + 1 and d in
+    (max(a1, b1), a2] with e = a1.  Returns (row, d, e), one entry per
+    witness, grouped by row in ascending d.
     """
-    n = x.n
-    wits_x = [w for w in all_witnesses(x, y) if w.e is not None]
-    wits_xp = [w for w in all_witnesses(x_prime, y) if w.e is not None]
-    out = []
-    for wa in wits_x:
-        deleted = get_bit(x.value, n, wa.d)
-        for wb in wits_xp:
-            w1, w2 = (wa, wb) if wa.d <= wb.d else (wb, wa)
-            case = classify_case(w1.d, w1.e, w2.d, w2.e)
-            out.append((case, w1, w2, deleted == get_bit(x_prime.value, n, wb.d)))
-    return out
+    a = (x >> 1) ^ y
+    b = (x & ((1 << (n - 1)) - 1)) ^ y
+    top = _smear(a)
+    a1 = n - np.bitwise_count(top).astype(np.int64)
+    a2 = n - _bit_length(a ^ (top ^ (top >> 1)))  # a without its highest bit
+    rest = b & (b - 1)  # b without its lowest bit
+    b1 = np.where(b != 0, n - _bit_length(b ^ rest), 0)
+    b2 = np.where(rest != 0, n - _bit_length(rest & -rest), 0)
+    lo = np.stack((b2, np.maximum(a1, b1)), axis=1).ravel()
+    hi = np.maximum(np.stack((np.minimum(b1, a1), a2), axis=1).ravel(), lo)
+    e = np.stack((b1 + 1, a1), axis=1).ravel()
+    size = hi - lo
+    interval = np.repeat(np.arange(len(size)), size)
+    step = np.arange(len(interval)) - np.repeat(np.cumsum(size) - size, size)
+    return interval // 2, lo[interval] + 1 + step, e[interval]
 
 
 def _collision_ordering(n: int, cov: _Coverage) -> dict:
@@ -207,25 +252,34 @@ def _collision_ordering(n: int, cov: _Coverage) -> dict:
 
     Every substitution-witness pair (relabeled so d1 <= d2) must fall in
     case "iv"; the deleted symbols must agree and the two weights must be
-    equal.
+    equal.  Each collision pairs every substitution witness of x with
+    every one of x', all collisions in one pass over int64 arrays (exact:
+    x < 2^28 at VERIFY_CEILING).
     """
-    violations = wt_bad = del_bad = 0
-    case_counts: dict[str, int] = {}
-    for y, a, b in cov.collisions:
-        xa, xb = Word(n, a), Word(n, b)
-        if xa.weight != xb.weight:
-            wt_bad += 1
-        for case, _, _, same_deleted in witness_pair_cases(xa, xb, Word(n - 1, y)):
-            case_counts[case] = case_counts.get(case, 0) + 1
-            if case != "iv":
-                violations += 1
-            if not same_deleted:
-                del_bad += 1
+    y, xa, xb = (c.astype(np.int64) for c in cov.collisions)
+    ra, da, ea = _substitution_witnesses(n, xa, y)
+    rb, db, eb = _substitution_witnesses(n, xb, y)
+    # Witness i of x repeats once per witness of x' in its row, and j walks
+    # those, which start at first_b[row]: the cross product of every row.
+    per_row = np.bincount(rb, minlength=len(y))
+    first_b = np.cumsum(per_row) - per_row
+    partners = per_row[ra]
+    i = np.repeat(np.arange(len(ra)), partners)
+    j = np.arange(len(i)) + np.repeat(first_b[ra] - (np.cumsum(partners) - partners), partners)
+    da, ea, db, eb = da[i], ea[i], db[j], eb[j]
+    deleted_a = (xa[ra[i]] >> (n - da)) & 1
+    deleted_b = (xb[rb[j]] >> (n - db)) & 1
+    swap = da > db  # relabel so d1 <= d2
+    cases = _case_indices(
+        np.minimum(da, db), np.where(swap, eb, ea), np.maximum(da, db), np.where(swap, ea, eb)
+    )
+    counts = np.bincount(cases, minlength=len(_CASES)).tolist()
+    weights_differ = np.bitwise_count(xa) != np.bitwise_count(xb)
     return {
-        "lemma2_violations": violations,
-        "lemma2_cases": dict(sorted(case_counts.items())),
-        "lemma2_weight_mismatches": wt_bad,
-        "lemma2_deleted_symbol_mismatches": del_bad,
+        "lemma2_violations": len(cases) - counts[_CASES.index("iv")],
+        "lemma2_cases": {case: c for case, c in zip(_CASES, counts) if c},
+        "lemma2_weight_mismatches": int(np.count_nonzero(weights_differ)),
+        "lemma2_deleted_symbol_mismatches": int(np.count_nonzero(deleted_a != deleted_b)),
     }
 
 
@@ -453,9 +507,9 @@ def full_report(
 
     The only way to run list2, lemma2 and deletion.  The classes are
     counted once, members listed once and their balls covered once; list2
-    and lemma2 read the same ascending walk over the colliding (y, x, x')
-    triples, and list2 keeps at most max_collisions records while its
-    count stays exact.  Returns (report, passed).  Timing is opt-in so identical runs emit
+    and lemma2 read the same arrays of colliding (y, x, x') triples, and
+    list2 keeps at most max_collisions records while its count stays
+    exact.  Returns (report, passed).  Timing is opt-in so identical runs emit
     byte-identical JSON.
     """
     if not checks:
@@ -469,7 +523,7 @@ def full_report(
         _check_n(check, n)
     start = time.perf_counter()
     params, auto, size = _resolve_class(n, params)
-    values = _list_values(params, size).tolist()
+    values = _list_values(params, size)
     dels, k = _packed_deletions(values, n)
     stats = CodeStats(n, size)
     report: dict = {
@@ -493,9 +547,10 @@ def full_report(
         cov = _cover(values, dels, k)
     if "list2" in checks:
         report["max_list_size"] = cov.max_list_size
-        report["collision_count"] = len(cov.collisions)
+        report["collision_count"] = len(cov.collisions[0])
         report["collision_pairs"] = [
-            _collision_record(n, *t) for t in cov.collisions[:max_collisions]
+            _collision_record(n, *t)
+            for t in zip(*(c[:max_collisions].tolist() for c in cov.collisions))
         ]
         passed &= cov.max_list_size <= 2
     if "lemma2" in checks:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from delsub import (
     CodeParams,
     ErrorEvent,
     Word,
+    all_witnesses,
     ball_values,
     bucket_counts,
     choose_params,
@@ -20,6 +22,7 @@ from delsub import (
     error_ball,
     flip_bit,
     full_report,
+    get_bit,
     insert_bit,
     is_codeword,
     params_from_bucket,
@@ -32,10 +35,12 @@ from delsub import (
     verify_sign_split,
     verify_weight_deltas,
     vt_syndrome,
-    witness_pair_cases,
 )
 from delsub.verifier import (
+    _CASES,
+    _case_indices,
     _case_lambdas,
+    _collision_ordering,
     _cover,
     _deletion_balls_disjoint,
     _packed_deletions,
@@ -66,11 +71,50 @@ def test_classify_case_rows(positions, expected):
     assert classify_case(*positions) == expected
 
 
+def test_case_indices_match_classify_case_on_every_valid_position():
+    # Cases ii and iii never occur on collision sets, so only this test
+    # reaches them in the vectorized classifier.
+    for n in range(2, 13):
+        rows = [
+            (d1, e1, d2, e2)
+            for d1 in range(1, n + 1)
+            for d2 in range(d1, n + 1)
+            for e1 in range(1, n + 1)
+            for e2 in range(1, n + 1)
+            if e1 != d1 and e2 != d2
+        ]
+        got = _case_indices(*np.array(rows, dtype=np.int64).T)
+        assert [_CASES[c] for c in got.tolist()] == [classify_case(*r) for r in rows]
+    assert set(_CASES) == {"i", "ii", "iii", "iv", "v", "vi"}
+
+
 def test_classify_case_validation():
     with pytest.raises(ValueError):
         classify_case(5, 2, 3, 1)  # d1 > d2
     with pytest.raises(ValueError):
         classify_case(3, 3, 7, 4)  # e1 == d1
+
+
+def witness_pair_cases(x, x_prime, y):
+    """Ordering case of every substitution-witness pair, relabeled so d1 <= d2.
+
+    The per-pair oracle for the lemma2 check.  The returned events follow
+    the relabeled order: the first event is the one with the smaller
+    deletion position (taken from x or x_prime as needed).  The flag says
+    whether the two deleted symbols agree: x at x's deletion position
+    against x_prime at x_prime's, which relabeling does not change.
+    """
+    n = x.n
+    wits_x = [w for w in all_witnesses(x, y) if w.e is not None]
+    wits_xp = [w for w in all_witnesses(x_prime, y) if w.e is not None]
+    out = []
+    for wa in wits_x:
+        deleted = get_bit(x.value, n, wa.d)
+        for wb in wits_xp:
+            w1, w2 = (wa, wb) if wa.d <= wb.d else (wb, wa)
+            case = classify_case(w1.d, w1.e, w2.d, w2.e)
+            out.append((case, w1, w2, deleted == get_bit(x_prime.value, n, wb.d)))
+    return out
 
 
 def test_non_member_pair_is_flagged():
@@ -138,9 +182,19 @@ def _cover_oracle(values, n):
     )
 
 
+def _triples(cov):
+    """The coverage's colliding (y, x, x') rows as a list of int triples."""
+    return list(zip(*(c.tolist() for c in cov.collisions)))
+
+
+def _covered(values, n):
+    return _cover(values, *_packed_deletions(values, n))
+
+
 def _assert_cover_matches_oracle(values, n):
-    cov = _cover(values, *_packed_deletions(values, n))
-    assert (cov.max_list_size, cov.collisions) == _cover_oracle(values, n)
+    cov = _covered(values, n)
+    assert all(c.dtype == np.uint64 for c in cov.collisions)
+    assert (cov.max_list_size, _triples(cov)) == _cover_oracle(values, n)
     return cov
 
 
@@ -149,7 +203,7 @@ def test_cover_matches_the_oracle_on_every_class_n9():
     seen = 0
     for key in np.flatnonzero(bucket_counts(n)).tolist():
         values = codeword_values(params_from_bucket(n, key)).tolist()
-        seen += len(_assert_cover_matches_oracle(values, n).collisions) > 0
+        seen += len(_triples(_assert_cover_matches_oracle(values, n))) > 0
     assert seen > 0
 
 
@@ -164,7 +218,7 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
     # more than three covering members, so only the three smallest count.
     cov = _assert_cover_matches_oracle(list(range(1, 63)), 6)
     assert cov.max_list_size == 3
-    per_word = Counter(y for y, _, _ in cov.collisions)
+    per_word = Counter(y for y, _, _ in _triples(cov))
     assert max(per_word.values()) == 3  # the three pairs of the three smallest
     assert _cover([], *_packed_deletions([], 6)).max_list_size == 0
 
@@ -281,6 +335,75 @@ def test_collision_ordering_across_all_colliding_classes():
         r, _ = full_report(n, params_from_bucket(n, key), checks=("lemma2",))
         assert r["lemma2_violations"] == 0
         assert set(r["lemma2_cases"]) <= {"iv"}
+
+
+def _ordering_oracle(n, cov):
+    """The lemma2 report fields from witness_pair_cases, one collision at a time."""
+    violations = wt_bad = del_bad = 0
+    case_counts: dict[str, int] = {}
+    for y, a, b in _triples(cov):
+        xa, xb = Word(n, a), Word(n, b)
+        if xa.weight != xb.weight:
+            wt_bad += 1
+        for case, _, _, same_deleted in witness_pair_cases(xa, xb, Word(n - 1, y)):
+            case_counts[case] = case_counts.get(case, 0) + 1
+            if case != "iv":
+                violations += 1
+            if not same_deleted:
+                del_bad += 1
+    return {
+        "lemma2_violations": violations,
+        "lemma2_cases": dict(sorted(case_counts.items())),
+        "lemma2_weight_mismatches": wt_bad,
+        "lemma2_deleted_symbol_mismatches": del_bad,
+    }
+
+
+def _assert_ordering_matches_oracle(values, n):
+    cov = _covered(values, n)
+    got = _collision_ordering(n, cov)
+    assert got == _ordering_oracle(n, cov)
+    return got
+
+
+def test_collision_ordering_matches_the_oracle_on_every_word():
+    """Not a class: every non-constant word, so every field is non-zero."""
+    for n in range(5, 11):
+        got = _assert_ordering_matches_oracle(list(range(1, (1 << n) - 1)), n)
+        assert got["lemma2_violations"] > 0
+        assert got["lemma2_weight_mismatches"] > 0
+        assert got["lemma2_deleted_symbol_mismatches"] > 0
+        if n == 6:
+            assert got == {
+                "lemma2_violations": 376,
+                "lemma2_cases": {"i": 187, "iv": 179, "v": 68, "vi": 121},
+                "lemma2_weight_mismatches": 26,
+                "lemma2_deleted_symbol_mismatches": 134,
+            }
+
+
+def test_collision_ordering_matches_the_oracle_on_every_class_n9():
+    n = 9
+    seen = 0
+    for key in np.flatnonzero(bucket_counts(n)).tolist():
+        values = codeword_values(params_from_bucket(n, key)).tolist()
+        seen += sum(_assert_ordering_matches_oracle(values, n)["lemma2_cases"].values()) > 0
+    assert seen > 0
+
+
+def test_collision_ordering_matches_the_oracle_on_best_classes():
+    for n in range(2, 25):
+        p, _ = choose_params(n)
+        _assert_ordering_matches_oracle(codeword_values(p).tolist(), n)
+
+
+def test_collision_ordering_of_no_collisions():
+    assert _assert_ordering_matches_oracle([], 6) == {
+        "lemma2_violations": 0,
+        "lemma2_cases": {},
+        "lemma2_weight_mismatches": 0,
+        "lemma2_deleted_symbol_mismatches": 0,
+    }
 
 
 # --- single-deletion balls ------------------------------------------------------
@@ -582,6 +705,19 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
         "_cover": 1,
         "_packed_deletions": 1,  # one packing for list2/lemma2 and deletion
     }
+
+
+def test_full_report_memory_peak():
+    # The coverage keeps one deletion per run of equal bits and a uint32 y,
+    # and the class count (16n^3 int64 and one rolled copy) sets the peak.
+    full_report(24)
+    tracemalloc.start()
+    try:
+        full_report(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_full_report_rejects_an_empty_check_list():
