@@ -4,8 +4,10 @@ Every n-bit word (minus the two constant ones) lands in exactly one
 residue class (wt mod 4, f1 mod 2n, f2 mod 2n^2).  The biggest class is
 the code; pigeonhole says it holds at least (2^n - 2) / 16n^3 words, so
 its redundancy stays within 3 log2(n) + 4.  The class sizes are the
-coefficients of prod_i (1 + t^(1, i, i(i+1)/2)), so n passes over the
-16n^3 counters find them all without visiting a single word.
+coefficients of prod_i (1 + t^(1, i, i(i+1)/2)): the first floor(log2 n^3)
+factors are expanded by counting the residues of every prefix, and each
+later one is one pass over the 16n^3 counters, so they are all found
+without visiting a single word.
 """
 
 import time

@@ -137,20 +137,50 @@ def _strip_constant_words(counts: np.ndarray, n: int) -> None:
         counts[params_of(w).bucket_index] -= 1
 
 
+def _add_shifted(dst: np.ndarray, src: np.ndarray, d1: int, d2: int) -> None:
+    """dst += src cyclically shifted by (d1, d2), in four blocks with no copy.
+
+    The shift must lie in the plane: 0 <= d1 < m1 and 0 <= d2 < m2.
+    """
+    m1, m2 = src.shape
+    for rows, from_rows in ((slice(d1, None), slice(m1 - d1)), (slice(d1), slice(m1 - d1, None))):
+        for cols, from_cols in ((slice(d2, None), slice(m2 - d2)), (slice(d2), slice(m2 - d2, None))):
+            dst[rows, cols] += src[from_rows, from_cols]
+
+
 def bucket_counts(n: int) -> np.ndarray:
     """Size of every residue class, the two constant words excluded.
 
     The flat layout is that of bucket_index, so ascending index order is
-    lexicographic (c0, c1, c2) order.  The sizes are the
-    coefficients of prod_i (1 + t^(1, i, i(i+1)/2)) over Z4 x Z2n x Z2n^2,
-    found in n passes over the 16n^3 cells with no scan of {0,1}^n.
+    lexicographic (c0, c1, c2) order.  The sizes are the coefficients of
+    prod_i (1 + t^(1, i, i(i+1)/2)) over Z4 x Z2n x Z2n^2.  The first h
+    factors, h the largest with 2^h <= n^3, are expanded by listing the
+    flat states of all 2^h prefixes and counting them; the other n - h
+    fold into the 16n^3 cells in place, one weight plane at a time with
+    one spare plane, so no word of {0,1}^n is visited and the table is
+    never copied whole.
     """
     _check_scan_n(n)
-    table = np.zeros(_moduli(n), dtype=np.int64)
-    table[0, 0, 0] = 1  # the empty word
-    for i in range(1, n + 1):
-        # Factor i: every word so far either leaves position i at 0 or adds its shift.
-        table += np.roll(table, _position_shift(i), axis=(0, 1, 2))
+    shape = _moduli(n)
+    h = min(n, (n**3).bit_length() - 1)
+    state = np.zeros(1 << h, dtype=np.int64)  # entry 0 is the empty prefix
+    for i in range(1, h + 1):
+        # The prefixes so far with position i at 1 follow those with it at 0.
+        half = 1 << (i - 1)
+        state[half : 2 * half] = _set_position(state[:half], n, i)
+    table = np.bincount(state, minlength=math.prod(shape)).reshape(shape)
+    del state  # freed before the spare plane is allocated
+    top = np.empty_like(table[-1])
+    for i in range(h + 1, n + 1):
+        # Factor i: every word so far either leaves position i at 0 or adds its
+        # shift.  The weight always moves by 1, so plane a takes plane a - 1;
+        # going down from the top, only the old top plane must be kept aside.
+        # The (f1, f2) shift, i < 2n and i(i+1)/2 < 2n^2, lies in the plane.
+        _, d1, d2 = _position_shift(i)
+        top[...] = table[-1]
+        for a in range(shape[0] - 1, 0, -1):
+            _add_shifted(table[a], table[a - 1], d1, d2)
+        _add_shifted(table[0], top, d1, d2)
     counts = table.ravel()
     _strip_constant_words(counts, n)
     return counts

@@ -66,6 +66,18 @@ def _gray_counts(n):
     return np.asarray(counts, dtype=np.int64)
 
 
+def _roll_counts(n):
+    """Oracle: the dense group-ring product, one full np.roll pass per position."""
+    table = np.zeros((4, 2 * n, 2 * n * n), dtype=np.int64)
+    table[0, 0, 0] = 1  # the empty word
+    for i in range(1, n + 1):
+        table += np.roll(table, (1, i, i * (i + 1) // 2), axis=(0, 1, 2))
+    counts = table.ravel()
+    for w in (Word.zeros(n), Word.ones(n)):
+        counts[params_of(w).bucket_index] -= 1
+    return counts
+
+
 def _arange_classes(n):
     """Oracle: flat class index of every value in range(2^n), by numpy."""
     values = np.arange(1 << n, dtype=np.int64)
@@ -165,6 +177,30 @@ def test_counts_and_members_match_arange_scan_at_18():
     members = np.flatnonzero(classes == p.bucket_index) + 1
     assert stats.size == members.size
     assert np.array_equal(codeword_values(p), members.astype(np.uint64))
+
+
+def test_counts_match_the_dense_product():
+    # n <= 9 is all prefix listing, n = 10 folds one position, later lengths
+    # split the positions between the two.
+    for n in [*range(2, 41), SCAN_CEILING]:
+        got = bucket_counts(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _roll_counts(n)), n
+
+
+def test_count_memory_peak():
+    # The table of 16n^3 int64 counters and one spare weight plane; a pass
+    # that copied the whole table would read twice the table.
+    n = SCAN_CEILING
+    table_bytes = 16 * n**3 * 8
+    bucket_counts(n)
+    tracemalloc.start()
+    try:
+        bucket_counts(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes
 
 
 def test_counts_stay_exact_up_to_the_ceiling():
