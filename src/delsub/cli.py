@@ -38,11 +38,11 @@ def _word(text: str, n: int, what: str) -> Word:
     return w
 
 
-def _emit(doc, fmt: str, text_lines: list[str] | None = None) -> None:
+def _emit(doc, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(doc))
     else:
-        for line in text_lines if text_lines is not None else [str(doc)]:
+        for line in text_lines:
             print(line)
 
 

@@ -6,8 +6,8 @@ sign-splittable difference vectors, and the weight-drop table is checked
 on every word/event combination.  full_report is the one entry point for
 the list2, lemma2 and deletion checks: it counts the classes once, lists
 the members once, feeds the ball coverage and the deletion check from one
-packing of their deletion results and classifies the witness pairs of all
-colliding triples in one array pass.
+packing of their run-end deletion results, and draws the lemma2 cases and
+the collision records from one array form of the substitution witnesses.
 Sampled shortcuts live only in the separate smoke mode, which never lists
 a class, and are labeled as such.
 """
@@ -31,7 +31,7 @@ from .channel import (
     iter_events,
 )
 from .code import CodeParams, CodeStats, _list_values, _random_members, bucket_counts, choose_params
-from .decoder import DecodeResult, ListBoundError, canonical_witness, list_decode
+from .decoder import DecodeResult, ListBoundError, list_decode
 from .syndromes import suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
 
@@ -79,52 +79,49 @@ class _Coverage:
 
 
 def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:
-    """Every member's n pure-deletion results, each packed as y << k | i.
+    """Every member's distinct pure-deletion results, each packed as y << k | i.
 
     i is the member's index in k bits, so for ascending values the sorted
     keys order the entries by y and, within one y, by member; at
-    VERIFY_CEILING y and i take at most 55 bits.  Returns the
-    (members, n) uint64 key array and k.
+    VERIFY_CEILING y and i take at most 55 bits.  Deleting any bit of a run
+    of equal bits leaves one word, so only the last deletion of each run is
+    kept, and one member's kept results are distinct.  Returns the flat
+    uint64 key array, member by member, and k.
     """
     k = np.uint64((len(values) - 1).bit_length())
     xs = np.asarray(values, dtype=np.uint64)[:, None]
     keys = delete_bit(xs, n, np.arange(1, n + 1, dtype=np.uint64)) << k
     keys |= np.arange(len(values), dtype=np.uint64)[:, None]
-    return keys, k
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort flat keys in place; drop equal neighbours (one member reaching y twice)."""
-    keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    return keys[fresh]
+    run_end = np.ones(keys.shape, dtype=bool)
+    run_end[:, :-1] = keys[:, :-1] != keys[:, 1:]
+    return keys[run_end], k
 
 
 # Member offsets, within a run, of the pairs of its first three members.
 _PAIR_OFFSETS = np.array([[0, 0, 1], [1, 2, 2]])
 
 
-def _cover(values: Sequence[int] | np.ndarray, dels: np.ndarray, k: np.uint64) -> _Coverage:
+def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Coverage:
     """Cover every member's ball, then list the colliding (y, x, x') in order.
 
     values must ascend, as codeword_values returns them, and (dels, k) is
-    their _packed_deletions.  Deleting any bit of a run of equal bits leaves
-    one word, so only the last deletion of each run is kept.  Its result and
-    the n-1 single flips of it make one uint64 array of ball entries, sorted
-    with repeats dropped.  Each run of equal y then holds that word's
-    covering members in ascending order.  The longest run is the max list
-    size, counted up to 3, and each run of two or more gives collisions from
-    its first three members, the three smallest: enough to tell 2 from
+    their _packed_deletions.  Each kept result and its n-1 single flips make
+    one uint64 array of ball entries, sorted in place with repeats (one
+    member reaching y twice) dropped.  Each run of equal y then holds that
+    word's covering members in ascending order.  The longest run is the max
+    list size, counted up to 3, and each run of two or more gives collisions
+    from its first three members, the three smallest: enough to tell 2 from
     broken.
     """
     if len(values) == 0:
         empty = np.zeros(0, dtype=np.uint64)
         return _Coverage(0, (empty, empty, empty))
-    run_end = np.ones(dels.shape, dtype=bool)
-    run_end[:, :-1] = dels[:, :-1] != dels[:, 1:]
-    flips = np.array([0] + [1 << q for q in range(dels.shape[1] - 1)], dtype=np.uint64) << k
-    keys = _sorted_unique((dels[run_end][:, None] ^ flips).ravel())
+    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    keys = (dels[:, None] ^ flips).ravel()
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    keys = keys[fresh]
     # y < 2^27 at VERIFY_CEILING, so its uint32 copy is exact.
     ys = np.right_shift(keys, k, out=np.empty(len(keys), dtype=np.uint32), casting="same_kind")
     same = np.zeros(len(keys), dtype=bool)  # entry j + 1 has entry j's y
@@ -143,24 +140,6 @@ def _cover(values: Sequence[int] | np.ndarray, dels: np.ndarray, k: np.uint64) -
     hi = keys[(first[:, None] + _PAIR_OFFSETS[1])[take]] & member
     y = np.repeat(ys[first], take.sum(axis=1)).astype(np.uint64)
     return _Coverage(1 + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
-
-
-def _collision_record(n: int, y: int, a: int, b: int) -> dict:
-    """Report record of one collision; the member whose witness deletes first leads."""
-    yw = Word(n - 1, y)
-    xa, xb = Word(n, a), Word(n, b)
-    wa, wb = canonical_witness(xa, yw), canonical_witness(xb, yw)
-    if wa.d > wb.d:
-        xa, xb, wa, wb = xb, xa, wb, wa
-    return {
-        "y": str(yw),
-        "x": str(xa),
-        "x_prime": str(xb),
-        "d1": wa.d,
-        "e1": wa.e,
-        "d2": wb.d,
-        "e2": wb.e,
-    }
 
 
 # Ordering case by the ranges (1 before d1, 2 between, 3 after d2) of e1 and e2.
@@ -247,6 +226,28 @@ def _substitution_witnesses(
     return interval // 2, lo[interval] + 1 + step, e[interval]
 
 
+def _collision_records(n: int, cov: _Coverage, limit: int) -> list[dict]:
+    """Records of the first limit collisions; the member whose witness deletes first leads.
+
+    A member's canonical witness is its first substitution witness in
+    ascending d, which every non-constant word has; on equal d the smaller
+    member, x, leads.
+    """
+    y, *xs = (c[:limit].astype(np.int64) for c in cov.collisions)
+    sides = []  # each row's (word, d, e) for x, then for x'
+    for x in xs:
+        row, d, e = _substitution_witnesses(n, x, y)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        words = (format(v, f"0{n}b") for v in x.tolist())
+        sides.append(zip(words, d[first].tolist(), e[first].tolist()))
+    records = []
+    for yv, a, b in zip(y.tolist(), *sides):
+        (x1, d1, e1), (x2, d2, e2) = (b, a) if a[1] > b[1] else (a, b)
+        yw = format(yv, f"0{n - 1}b")
+        records.append({"y": yw, "x": x1, "x_prime": x2, "d1": d1, "e1": e1, "d2": d2, "e2": e2})
+    return records
+
+
 def _collision_ordering(n: int, cov: _Coverage) -> dict:
     """The lemma2 report fields over every collision's witness pairs.
 
@@ -284,9 +285,9 @@ def _collision_ordering(n: int, cov: _Coverage) -> dict:
 
 
 def _deletion_balls_disjoint(dels: np.ndarray, k: np.uint64) -> bool:
-    """True iff no two distinct members share a pure-deletion result (reads a copy of dels)."""
-    # With repeats dropped, neighbouring keys that share y come from two members.
-    ys = _sorted_unique(dels.flatten()) >> k
+    """True iff no two distinct members share a pure-deletion result."""
+    # One member's run-end results are distinct, so equal neighbours come from two members.
+    ys = np.sort(dels >> k)
     return not (ys[1:] == ys[:-1]).any()
 
 
@@ -544,14 +545,11 @@ def full_report(
     passed = True
 
     if "list2" in checks or "lemma2" in checks:
-        cov = _cover(values, dels, k)
+        cov = _cover(n, values, dels, k)
     if "list2" in checks:
         report["max_list_size"] = cov.max_list_size
         report["collision_count"] = len(cov.collisions[0])
-        report["collision_pairs"] = [
-            _collision_record(n, *t)
-            for t in zip(*(c[:max_collisions].tolist() for c in cov.collisions))
-        ]
+        report["collision_pairs"] = _collision_records(n, cov, max_collisions)
         passed &= cov.max_list_size <= 2
     if "lemma2" in checks:
         lemma2 = _collision_ordering(n, cov)

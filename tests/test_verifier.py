@@ -15,6 +15,7 @@ from delsub import (
     all_witnesses,
     ball_values,
     bucket_counts,
+    canonical_witness,
     choose_params,
     classify_case,
     codeword_values,
@@ -41,6 +42,7 @@ from delsub.verifier import (
     _case_indices,
     _case_lambdas,
     _collision_ordering,
+    _collision_records,
     _cover,
     _deletion_balls_disjoint,
     _packed_deletions,
@@ -188,7 +190,7 @@ def _triples(cov):
 
 
 def _covered(values, n):
-    return _cover(values, *_packed_deletions(values, n))
+    return _cover(n, values, *_packed_deletions(values, n))
 
 
 def _assert_cover_matches_oracle(values, n):
@@ -220,7 +222,7 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
     assert cov.max_list_size == 3
     per_word = Counter(y for y, _, _ in _triples(cov))
     assert max(per_word.values()) == 3  # the three pairs of the three smallest
-    assert _cover([], *_packed_deletions([], 6)).max_list_size == 0
+    assert _cover(6, [], *_packed_deletions([], 6)).max_list_size == 0
 
 
 def _list2(n, p=None, **kwargs):
@@ -359,10 +361,31 @@ def _ordering_oracle(n, cov):
     }
 
 
+def _record_oracle(n, y, a, b):
+    """Report record of one collision; the member whose witness deletes first leads."""
+    yw = Word(n - 1, y)
+    xa, xb = Word(n, a), Word(n, b)
+    wa, wb = canonical_witness(xa, yw), canonical_witness(xb, yw)
+    if wa.d > wb.d:
+        xa, xb, wa, wb = xb, xa, wb, wa
+    return {
+        "y": str(yw),
+        "x": str(xa),
+        "x_prime": str(xb),
+        "d1": wa.d,
+        "e1": wa.e,
+        "d2": wb.d,
+        "e2": wb.e,
+    }
+
+
 def _assert_ordering_matches_oracle(values, n):
+    """lemma2 fields and every collision record against their one-at-a-time oracles."""
     cov = _covered(values, n)
     got = _collision_ordering(n, cov)
     assert got == _ordering_oracle(n, cov)
+    triples = _triples(cov)
+    assert _collision_records(n, cov, len(triples)) == [_record_oracle(n, *t) for t in triples]
     return got
 
 
@@ -679,6 +702,7 @@ def test_full_report_lists_members_and_covers_once_for_explicit_params(monkeypat
 
 def _check_lists_members_and_covers_once(monkeypatch, explicit):
     import delsub.code as code
+    import delsub.decoder as decoder
     import delsub.verifier as verifier
 
     p = choose_params(14)[0] if explicit else None
@@ -695,6 +719,8 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
             (verifier, "_packed_deletions"),
         ],
     )
+    # The records take their witnesses from the verifier's arrays.
+    _forbid(monkeypatch, [(decoder, "all_witnesses")], "a report called the decoder's witnesses")
     report, passed = full_report(14, p)
     assert passed and report["collision_count"] > 0
     assert report["auto_params"] is not explicit
@@ -708,9 +734,10 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
 
 
 def test_full_report_memory_peak():
-    # The coverage keeps one deletion per run of equal bits and a uint32 y,
-    # and it sets the peak: the class count folds into its 16n^3 int64
-    # counters with one spare weight plane and never copies the whole table.
+    # The packing keeps one deletion per run of equal bits and the coverage
+    # a uint32 y, and the coverage sets the peak: the class count folds into
+    # its 16n^3 int64 counters with one spare weight plane and never copies
+    # the whole table.
     full_report(24)
     tracemalloc.start()
     try:
