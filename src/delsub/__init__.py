@@ -5,9 +5,10 @@ the VT checksum mod 2n and its second-order analogue mod 2n^2.  Any
 received (n-1)-bit word then lies in the corruption ball of at most two
 class members, and the largest class at each length keeps the redundancy
 within 3 log2(n) + 4.  The package counts all classes with a dynamic
-program over positions, lists a class's members by backward reachability,
-list-decodes received words, and verifies the combinatorial guarantees
-exhaustively at small lengths.
+program over positions, lists a class's members by a meet-in-the-middle
+join of the residue states of the two halves' bit patterns, list-decodes
+received words, and verifies the combinatorial guarantees exhaustively at
+small lengths.
 """
 
 from .channel import (

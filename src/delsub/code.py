@@ -31,13 +31,16 @@ __all__ = [
 # 2^n - 2, stays below 2^63.
 SCAN_CEILING = 62
 
-# codeword_values refuses a class whose packed reachability table
-# (n * 16n^3 / 8 bytes) and member arrays would together pass this many bytes.
+# codeword_values refuses a class whose listing would pass this many bytes:
+# _listing_bytes estimates it from the subset states of the two halves and
+# the member count, and each part is checked before it is allocated.
 ENUMERATION_BYTE_CAP = 1 << 29
-# Peak working bytes per prefix of the last (widest) level: packed values
-# and flat states of the level, of its two-way expansion and of the
-# residue arithmetic in between (82 measured with tracemalloc).
-_BYTES_PER_PREFIX = 96
+# Peak working bytes per subset state (the states, their stable order and
+# the run arrays of their join; 21-25 measured with tracemalloc at n = 30..40)
+# and per member (its suffix rank and value and the suffix index read between
+# them; 23.6 measured).
+_BYTES_PER_STATE = 26
+_BYTES_PER_MEMBER = 24
 
 
 def _moduli(n: int) -> tuple[int, int, int]:
@@ -158,18 +161,18 @@ def bucket_counts(n: int) -> np.ndarray:
     flat states of all 2^h prefixes and counting them; the other n - h
     fold into the 16n^3 cells in place, one weight plane at a time with
     one spare plane, so no word of {0,1}^n is visited and the table is
-    never copied whole.
+    never copied whole.  The folds run on int32 cells for n <= 31, where a
+    cell never holds all 2^n words (0^n and 10...0 differ in weight) and
+    so stays below 2^31, and on int64 cells above; the sizes are int64.
     """
     _check_scan_n(n)
     shape = _moduli(n)
     h = min(n, (n**3).bit_length() - 1)
-    state = np.zeros(1 << h, dtype=np.int64)  # entry 0 is the empty prefix
-    for i in range(1, h + 1):
-        # The prefixes so far with position i at 1 follow those with it at 0.
-        half = 1 << (i - 1)
-        state[half : 2 * half] = _set_position(state[:half], n, i)
-    table = np.bincount(state, minlength=math.prod(shape)).reshape(shape)
-    del state  # freed before the spare plane is allocated
+    state = _subset_states(n, range(1, h + 1))
+    table = np.zeros(shape, dtype=np.int32 if n <= 31 else np.int64)
+    cells, sizes = np.unique(state, return_counts=True)
+    table.ravel()[cells] = sizes  # a view: the table is C-contiguous
+    del state, cells, sizes  # freed before the spare plane is allocated
     top = np.empty_like(table[-1])
     for i in range(h + 1, n + 1):
         # Factor i: every word so far either leaves position i at 0 or adds its
@@ -181,7 +184,7 @@ def bucket_counts(n: int) -> np.ndarray:
         for a in range(shape[0] - 1, 0, -1):
             _add_shifted(table[a], table[a - 1], d1, d2)
         _add_shifted(table[0], top, d1, d2)
-    counts = table.ravel()
+    counts = table.ravel().astype(np.int64, copy=False)
     _strip_constant_words(counts, n)
     return counts
 
@@ -203,7 +206,8 @@ def _reachability(p: CodeParams) -> np.ndarray:
     Row k - 1 marks the flat residue states that positions 1..k may leave
     and that some choice of positions k+1..n still carries to p's triple;
     _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes,
-    so the table takes n * 16n^3 / 8 bytes.
+    so the table takes n * 16n^3 / 8 bytes.  Only the member sampler
+    walks it; the listing joins subset states instead.
     """
     n = p.n
     reach = np.zeros(_moduli(n), dtype=bool)
@@ -231,38 +235,94 @@ def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
     return (((wt + d0) % m0) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
 
 
+def _subset_states(
+    n: int, positions: range, start: tuple[int, int, int] = (0, 0, 0), sign: int = 1
+) -> np.ndarray:
+    """Flat residue states of start moved by every subset of positions.
+
+    Bit k of an entry's index says whether the subset holds positions[k]:
+    entry 0 is start, a (wt, f1, f2) triple, and each doubling appends the
+    triples so far with the next position's shift added (subtracted, for
+    sign -1).  The residues are taken once, at the end.  int32 is exact:
+    every sum stays within n^3 of start, and the flat states below 16n^3.
+    """
+    shifts = np.array([_position_shift(i) for i in positions], dtype=np.int32).reshape(-1, 3, 1)
+    parts = np.empty((3, 1 << len(positions)), dtype=np.int32)
+    parts[:, 0] = start
+    for k, shift in enumerate(sign * shifts):
+        np.add(parts[:, : 1 << k], shift, out=parts[:, 1 << k : 2 << k])
+    m0, m1, m2 = _moduli(n)
+    parts %= np.array([m0, m1, m2], dtype=np.int32)[:, None]
+    state = parts[0] * m1
+    state += parts[1]
+    state *= m2
+    state += parts[2]
+    return state
+
+
+def _listing_bytes(n: int, members: int) -> int:
+    """Estimated peak bytes of listing a class of n-bit words with this many members."""
+    half = 1 << (n // 2)
+    return _BYTES_PER_STATE * (half + (half << (n % 2))) + _BYTES_PER_MEMBER * members
+
+
+def _check_cap(p: CodeParams, what: str, need: int) -> None:
+    if need > ENUMERATION_BYTE_CAP:
+        raise ValueError(
+            f"listing {what} of {p} needs about {need} bytes, "
+            f"over the {ENUMERATION_BYTE_CAP}-byte cap"
+        )
+
+
 def codeword_values(p: CodeParams) -> np.ndarray:
     """All members of the class as packed values, ascending."""
     _check_scan_n(p.n)
-    return _list_values(p, int(bucket_counts(p.n)[p.bucket_index]))
+    return _list_values(p)
 
 
-def _list_values(p: CodeParams, size: int) -> np.ndarray:
-    """codeword_values for a class already counted to hold size members.
+def _list_values(p: CodeParams) -> np.ndarray:
+    """codeword_values without the length check: a meet-in-the-middle join.
 
-    Prefixes grow one position at a time, 0 before 1, and a prefix is kept
-    only when the reachability table says some suffix completes it into the
-    class; so every level holds at most the class size plus the two constant
-    words, and values stay in ascending order.
+    A word is a prefix i of the first a = n // 2 positions and a suffix j
+    of the other b, position 1 the most significant bit of each, and its
+    value is i << b | j.  It is a member when the suffix's residue state
+    equals p's triple minus the prefix's.  The suffix states are ordered by
+    a stable argsort, so each state's run lists its suffixes in ascending
+    j; for every prefix in ascending i, one searchsorted over the runs'
+    states finds the run of its missing state.  The values then come out
+    ascending with no sort, and the member count is known before any
+    member array is allocated.
     """
     n = p.n
-    need = n * math.prod(_moduli(n)) // 8 + _BYTES_PER_PREFIX * (size + 2)  # table + widest level
-    if need > ENUMERATION_BYTE_CAP:
-        raise ValueError(
-            f"listing the {size} members of {p} needs about {need} bytes, "
-            f"over the {ENUMERATION_BYTE_CAP}-byte cap"
-        )
-    reach = _reachability(p)
-    values = np.zeros(1, dtype=np.uint64)
-    state = np.zeros(1, dtype=np.int64)
-    for k in range(1, n + 1):
-        state = np.stack((state, _set_position(state, n, k)), axis=1).ravel()
-        keep = _reached(reach[k - 1], state)
-        state = state[keep]
-        twice = values << 1
-        values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
-    top = np.uint64((1 << n) - 1)
-    return values[(values != 0) & (values != top)]
+    a = n // 2
+    b = n - a
+    _check_cap(p, "the subset states", _listing_bytes(n, 0))
+    suffix = _subset_states(n, range(n, a, -1))  # bit k of j is position n - k
+    order = np.argsort(suffix, kind="stable")
+    ranked = suffix[order]
+    del suffix
+    run_start = np.flatnonzero(np.diff(ranked, prepend=-1))
+    run_len = np.diff(run_start, append=len(ranked))
+    run_state = ranked[run_start]
+    del ranked
+    # What each prefix (bit k of i is position a - k) leaves for its suffix.
+    missing = _subset_states(n, range(a, 0, -1), (p.c0, p.c1, p.c2), -1)
+    run = np.searchsorted(run_state, missing)
+    np.minimum(run, len(run_state) - 1, out=run)
+    count = np.where(run_state[run] == missing, run_len[run], 0)
+    del missing
+    total = int(count.sum())
+    _check_cap(p, f"the {total} members", _listing_bytes(n, total))
+    # Member m of prefix i takes the suffix at rank run_start[run[i]] + m.
+    rank = np.repeat(run_start[run] - (np.cumsum(count) - count), count)
+    rank += np.arange(total)
+    values = np.repeat(np.arange(1 << a, dtype=np.int64) << b, count)
+    values |= order[rank]
+    values = values.view(np.uint64)
+    # 0^n can only come first and 1^n last.
+    lo = int(total > 0 and values[0] == 0)
+    hi = total - int(total > 0 and values[-1] == (1 << n) - 1)
+    return values[lo:hi]
 
 
 def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:

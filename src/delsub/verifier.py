@@ -226,18 +226,33 @@ def _substitution_witnesses(
     return interval // 2, lo[interval] + 1 + step, e[interval]
 
 
-def _collision_records(n: int, cov: _Coverage, limit: int) -> list[dict]:
+# One side's substitution witnesses, as _substitution_witnesses returns them.
+_Witnesses = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _collision_witnesses(n: int, cov: _Coverage, rows: int | None) -> tuple[_Witnesses, _Witnesses]:
+    """The substitution witnesses of x and of x' on the first rows collision rows (None: all).
+
+    int64 is exact: x < 2^28 at VERIFY_CEILING.
+    """
+    y, xa, xb = (c[:rows].astype(np.int64) for c in cov.collisions)
+    return _substitution_witnesses(n, xa, y), _substitution_witnesses(n, xb, y)
+
+
+def _collision_records(
+    n: int, cov: _Coverage, wits: tuple[_Witnesses, _Witnesses], limit: int
+) -> list[dict]:
     """Records of the first limit collisions; the member whose witness deletes first leads.
 
-    A member's canonical witness is its first substitution witness in
-    ascending d, which every non-constant word has; on equal d the smaller
-    member, x, leads.
+    wits are _collision_witnesses on at least the first limit rows.  A
+    member's canonical witness is its first substitution witness in
+    ascending d, which every non-constant word has, so every row has one;
+    on equal d the smaller member, x, leads.
     """
-    y, *xs = (c[:limit].astype(np.int64) for c in cov.collisions)
+    y, *xs = (c[:limit] for c in cov.collisions)
     sides = []  # each row's (word, d, e) for x, then for x'
-    for x in xs:
-        row, d, e = _substitution_witnesses(n, x, y)
-        first = np.flatnonzero(np.diff(row, prepend=-1))
+    for x, (row, d, e) in zip(xs, wits):
+        first = np.flatnonzero(np.diff(row, prepend=-1))[:limit]
         words = (format(v, f"0{n}b") for v in x.tolist())
         sides.append(zip(words, d[first].tolist(), e[first].tolist()))
     records = []
@@ -248,21 +263,20 @@ def _collision_records(n: int, cov: _Coverage, limit: int) -> list[dict]:
     return records
 
 
-def _collision_ordering(n: int, cov: _Coverage) -> dict:
+def _collision_ordering(n: int, cov: _Coverage, wits: tuple[_Witnesses, _Witnesses]) -> dict:
     """The lemma2 report fields over every collision's witness pairs.
 
     Every substitution-witness pair (relabeled so d1 <= d2) must fall in
     case "iv"; the deleted symbols must agree and the two weights must be
     equal.  Each collision pairs every substitution witness of x with
-    every one of x', all collisions in one pass over int64 arrays (exact:
-    x < 2^28 at VERIFY_CEILING).
+    every one of x' (wits, from _collision_witnesses on all rows), all
+    collisions in one pass over int64 arrays.
     """
-    y, xa, xb = (c.astype(np.int64) for c in cov.collisions)
-    ra, da, ea = _substitution_witnesses(n, xa, y)
-    rb, db, eb = _substitution_witnesses(n, xb, y)
+    xa, xb = (c.astype(np.int64) for c in cov.collisions[1:])
+    (ra, da, ea), (rb, db, eb) = wits
     # Witness i of x repeats once per witness of x' in its row, and j walks
     # those, which start at first_b[row]: the cross product of every row.
-    per_row = np.bincount(rb, minlength=len(y))
+    per_row = np.bincount(rb, minlength=len(xa))
     first_b = np.cumsum(per_row) - per_row
     partners = per_row[ra]
     i = np.repeat(np.arange(len(ra)), partners)
@@ -524,7 +538,9 @@ def full_report(
         _check_n(check, n)
     start = time.perf_counter()
     params, auto, size = _resolve_class(n, params)
-    values = _list_values(params, size)
+    values = _list_values(params)
+    if len(values) != size:
+        raise RuntimeError(f"listed {len(values)} members of {params}, counted {size}")
     dels, k = _packed_deletions(values, n)
     stats = CodeStats(n, size)
     report: dict = {
@@ -546,13 +562,15 @@ def full_report(
 
     if "list2" in checks or "lemma2" in checks:
         cov = _cover(n, values, dels, k)
+        # lemma2 reads every row's witnesses, the records only the first rows.
+        wits = _collision_witnesses(n, cov, None if "lemma2" in checks else max_collisions)
     if "list2" in checks:
         report["max_list_size"] = cov.max_list_size
         report["collision_count"] = len(cov.collisions[0])
-        report["collision_pairs"] = _collision_records(n, cov, max_collisions)
+        report["collision_pairs"] = _collision_records(n, cov, wits, max_collisions)
         passed &= cov.max_list_size <= 2
     if "lemma2" in checks:
-        lemma2 = _collision_ordering(n, cov)
+        lemma2 = _collision_ordering(n, cov, wits)
         report.update(lemma2)
         passed &= (
             lemma2["lemma2_violations"] == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from delsub import (
     ENUMERATION_BYTE_CAP,
     SCAN_CEILING,
+    VERIFY_CEILING,
     CodeParams,
     CodeStats,
     Word,
@@ -17,13 +18,20 @@ from delsub import (
     choose_params,
     codeword_values,
     enumerate_code,
+    full_report,
     is_codeword,
     matches_value,
     params_from_bucket,
     params_of,
     wt_f1_f2,
 )
-from delsub.code import _random_members
+from delsub.code import (
+    _listing_bytes,
+    _random_members,
+    _reachability,
+    _reached,
+    _set_position,
+)
 
 W = Word.from_text
 
@@ -90,6 +98,27 @@ def _arange_classes(n):
         f1 += bit * i
         f2 += bit * (i * (i + 1) // 2)
     return ((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)
+
+
+def _reach_list_oracle(p):
+    """Oracle: list a class by growing prefixes through its reachability table.
+
+    Prefixes grow one position at a time, 0 before 1, and a prefix is kept
+    only when the backward reachability table says some suffix completes it
+    into the class, so values stay in ascending order.
+    """
+    n = p.n
+    reach = _reachability(p)
+    values = np.zeros(1, dtype=np.uint64)
+    state = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        state = np.stack((state, _set_position(state, n, k)), axis=1).ravel()
+        keep = _reached(reach[k - 1], state)
+        state = state[keep]
+        twice = values << 1
+        values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
+    top = np.uint64((1 << n) - 1)
+    return values[(values != 0) & (values != top)]
 
 
 # --- params and membership -------------------------------------------------
@@ -337,11 +366,103 @@ def test_codeword_values_refuses_a_class_over_the_memory_cap():
     assert peak < n * 16 * n**3  # the reachability table was never allocated
 
 
+def test_listing_bytes_admit_every_class_the_reachability_listing_did():
+    """No class that listed under the former estimate is refused now; nothing is listed."""
+    for n in range(40, 47):
+        counts = bucket_counts(n)
+        # The reachability table and 96 bytes a prefix of the widest level.
+        old = n * 16 * n**3 // 8 + 96 * (counts + 2)
+        new = _listing_bytes(n, counts + 2)
+        assert (new[old <= ENUMERATION_BYTE_CAP] <= ENUMERATION_BYTE_CAP).all(), n
+        if n == 44:
+            assert (old <= ENUMERATION_BYTE_CAP).any()  # the boundary lies past 44
+    assert _listing_bytes(48, 0) > ENUMERATION_BYTE_CAP  # the states alone pass the cap
+
+
+def test_listing_bytes_bound_the_listing_peak():
+    n = 36
+    p, stats = choose_params(n)
+    codeword_values(p)
+    tracemalloc.start()
+    try:
+        codeword_values(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _listing_bytes(n, stats.size)
+    assert peak > _listing_bytes(n, stats.size) / 2  # an estimate, not a blanket
+
+
 def test_class_sizes_match_bucket_counts():
     n = 6
     counts = bucket_counts(n)
     for idx in range(16 * n**3):
         assert len(codeword_values(params_from_bucket(n, idx))) == counts[idx]
+
+
+def _assert_lists_like_the_oracle(p):
+    got = codeword_values(p)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _reach_list_oracle(p)), p
+
+
+def test_codeword_values_match_the_reachability_oracle_on_every_class():
+    # The oracle builds a reachability table per class; an empty class is
+    # held to its count instead, which the Gray-code oracle pins.
+    for n in range(2, 11):
+        for key, size in enumerate(bucket_counts(n).tolist()):
+            p = params_from_bucket(n, key)
+            if size:
+                _assert_lists_like_the_oracle(p)
+            else:
+                got = codeword_values(p)
+                assert got.dtype == np.uint64 and len(got) == 0, p
+
+
+def test_codeword_values_match_the_reachability_oracle_on_best_classes():
+    # Odd lengths give the suffixes one position more than the prefixes.
+    for n in range(11, 33):
+        _assert_lists_like_the_oracle(choose_params(n)[0])
+
+
+def test_the_oracle_catches_suffixes_out_of_order_within_a_state(monkeypatch):
+    """Mutation check: the join needs the stable order of equal suffix states."""
+    real = np.argsort
+
+    def ties_descending(a, kind=None):
+        return len(a) - 1 - real(a[::-1], kind="stable")
+
+    p, _ = choose_params(16)
+    _assert_lists_like_the_oracle(p)
+    monkeypatch.setattr(np, "argsort", ties_descending)
+    with pytest.raises(AssertionError):
+        _assert_lists_like_the_oracle(p)
+
+
+def test_full_report_is_unchanged_under_the_reachability_oracle(monkeypatch):
+    import delsub.verifier as verifier
+
+    lengths = range(2, VERIFY_CEILING + 1)
+    fast = [full_report(n)[0] for n in lengths]
+    monkeypatch.setattr(verifier, "_list_values", _reach_list_oracle)
+    assert [full_report(n)[0] for n in lengths] == fast
+
+
+def test_decode_setup_counts_the_classes_once(monkeypatch):
+    """choose_params then codeword_values: the listing needs no count of its own."""
+    import delsub.code as code
+
+    calls = {"bucket_counts": 0}
+    real = code.bucket_counts
+
+    def counted(n):
+        calls["bucket_counts"] += 1
+        return real(n)
+
+    monkeypatch.setattr(code, "bucket_counts", counted)
+    p, stats = choose_params(24)
+    assert len(codeword_values(p)) == stats.size
+    assert calls == {"bucket_counts": 1}
 
 
 # --- stats -------------------------------------------------------------------

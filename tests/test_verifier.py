@@ -43,6 +43,7 @@ from delsub.verifier import (
     _case_lambdas,
     _collision_ordering,
     _collision_records,
+    _collision_witnesses,
     _cover,
     _deletion_balls_disjoint,
     _packed_deletions,
@@ -382,10 +383,15 @@ def _record_oracle(n, y, a, b):
 def _assert_ordering_matches_oracle(values, n):
     """lemma2 fields and every collision record against their one-at-a-time oracles."""
     cov = _covered(values, n)
-    got = _collision_ordering(n, cov)
+    wits = _collision_witnesses(n, cov, None)
+    got = _collision_ordering(n, cov, wits)
     assert got == _ordering_oracle(n, cov)
     triples = _triples(cov)
-    assert _collision_records(n, cov, len(triples)) == [_record_oracle(n, *t) for t in triples]
+    expected = [_record_oracle(n, *t) for t in triples]
+    assert _collision_records(n, cov, wits, len(triples)) == expected
+    # Records need only their own rows' witnesses, as a list2-only report has.
+    few = len(triples) // 2
+    assert _collision_records(n, cov, _collision_witnesses(n, cov, few), few) == expected[:few]
     return got
 
 
@@ -717,10 +723,12 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
             (verifier, "_list_values"),
             (verifier, "_cover"),
             (verifier, "_packed_deletions"),
+            (verifier, "_substitution_witnesses"),
         ],
     )
     # The records take their witnesses from the verifier's arrays.
     _forbid(monkeypatch, [(decoder, "all_witnesses")], "a report called the decoder's witnesses")
+    _forbid(monkeypatch, [(code, "_reachability")], "a report built a reachability table")
     report, passed = full_report(14, p)
     assert passed and report["collision_count"] > 0
     assert report["auto_params"] is not explicit
@@ -730,6 +738,7 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
         "_list_values": 1,
         "_cover": 1,
         "_packed_deletions": 1,  # one packing for list2/lemma2 and deletion
+        "_substitution_witnesses": 2,  # x and x' of every row, for the records and lemma2
     }
 
 
