@@ -41,6 +41,8 @@ ENUMERATION_BYTE_CAP = 1 << 29
 # them; 23.6 measured).
 _BYTES_PER_STATE = 26
 _BYTES_PER_MEMBER = 24
+_DRAW_BATCH = 1 << 12  # draws per batch of the member sampler
+_Runs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # see _suffix_runs
 
 
 def _moduli(n: int) -> tuple[int, int, int]:
@@ -134,12 +136,6 @@ def _check_scan_n(n: int) -> None:
         raise ValueError(f"class counting supports 2 <= n <= {SCAN_CEILING}, got {n}")
 
 
-def _strip_constant_words(counts: np.ndarray, n: int) -> None:
-    # 0^n and 1^n are excluded from every class by definition.
-    for w in (Word.zeros(n), Word.ones(n)):
-        counts[params_of(w).bucket_index] -= 1
-
-
 def _add_shifted(dst: np.ndarray, src: np.ndarray, d1: int, d2: int) -> None:
     """dst += src cyclically shifted by (d1, d2), in four blocks with no copy.
 
@@ -149,6 +145,11 @@ def _add_shifted(dst: np.ndarray, src: np.ndarray, d1: int, d2: int) -> None:
     for rows, from_rows in ((slice(d1, None), slice(m1 - d1)), (slice(d1), slice(m1 - d1, None))):
         for cols, from_cols in ((slice(d2, None), slice(m2 - d2)), (slice(d2), slice(m2 - d2, None))):
             dst[rows, cols] += src[from_rows, from_cols]
+
+
+def _listed_positions(n: int) -> int:
+    """The largest h <= n with 2^h <= n^3: how many positions get their subsets listed."""
+    return min(n, (n**3).bit_length() - 1)
 
 
 def bucket_counts(n: int) -> np.ndarray:
@@ -167,7 +168,7 @@ def bucket_counts(n: int) -> np.ndarray:
     """
     _check_scan_n(n)
     shape = _moduli(n)
-    h = min(n, (n**3).bit_length() - 1)
+    h = _listed_positions(n)
     state = _subset_states(n, range(1, h + 1))
     table = np.zeros(shape, dtype=np.int32 if n <= 31 else np.int64)
     cells, sizes = np.unique(state, return_counts=True)
@@ -185,7 +186,8 @@ def bucket_counts(n: int) -> np.ndarray:
             _add_shifted(table[a], table[a - 1], d1, d2)
         _add_shifted(table[0], top, d1, d2)
     counts = table.ravel().astype(np.int64, copy=False)
-    _strip_constant_words(counts, n)
+    for w in (Word.zeros(n), Word.ones(n)):  # in no class, by definition
+        counts[params_of(w).bucket_index] -= 1
     return counts
 
 
@@ -198,41 +200,6 @@ def choose_params(n: int) -> tuple[CodeParams, CodeStats]:
     counts = bucket_counts(n)
     best = int(np.argmax(counts))  # first maximum = smallest (c0, c1, c2)
     return params_from_bucket(n, best), CodeStats(n, int(counts[best]))
-
-
-def _reachability(p: CodeParams) -> np.ndarray:
-    """Backward reachability table, one bit-packed row per prefix length.
-
-    Row k - 1 marks the flat residue states that positions 1..k may leave
-    and that some choice of positions k+1..n still carries to p's triple;
-    _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes,
-    so the table takes n * 16n^3 / 8 bytes.  Only the member sampler
-    walks it; the listing joins subset states instead.
-    """
-    n = p.n
-    reach = np.zeros(_moduli(n), dtype=bool)
-    reach[p.c0, p.c1, p.c2] = True
-    packed = np.empty((n, reach.size // 8), dtype=np.uint8)
-    packed[n - 1] = np.packbits(reach, bitorder="little")
-    for k in range(n - 1, 0, -1):
-        back = tuple(-v for v in _position_shift(k + 1))
-        reach |= np.roll(reach, back, axis=(0, 1, 2))
-        packed[k - 1] = np.packbits(reach, bitorder="little")
-    return packed
-
-
-def _reached(row: np.ndarray, state: int | np.ndarray) -> bool | np.ndarray:
-    """Whether a packed reachability row marks each flat state (an int or int64 array)."""
-    return ((row[state >> 3] >> (state & 7)) & 1) == 1
-
-
-def _set_position(state: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Flat residue states after a 1 is placed at position i."""
-    m0, m1, m2 = _moduli(n)
-    wt, rest = np.divmod(state, m1 * m2)
-    f1, f2 = np.divmod(rest, m2)
-    d0, d1, d2 = _position_shift(i)
-    return (((wt + d0) % m0) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
 
 
 def _subset_states(
@@ -280,44 +247,55 @@ def codeword_values(p: CodeParams) -> np.ndarray:
     return _list_values(p)
 
 
+def _suffix_runs(n: int, b: int) -> _Runs:
+    """Subset states of the last b positions (bit k of j is position n - k), by run.
+
+    Returns order, a stable argsort of the states, so each run of one state
+    lists its suffixes in ascending j, and run_start, run_len and run_state:
+    each run's first rank in order, length and state, in ascending state.
+    """
+    suffix = _subset_states(n, range(n, n - b, -1))
+    order = np.argsort(suffix, kind="stable")
+    ranked = suffix[order]
+    del suffix
+    run_start = np.flatnonzero(np.diff(ranked, prepend=-1))
+    return order, run_start, np.diff(run_start, append=len(ranked)), ranked[run_start]
+
+
+def _find_runs(runs: _Runs, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each missing state's run in _suffix_runs: its first rank and its length, 0 if it has none."""
+    _, run_start, run_len, run_state = runs
+    run = np.searchsorted(run_state, missing)
+    np.minimum(run, len(run_state) - 1, out=run)
+    return run_start[run], np.where(run_state[run] == missing, run_len[run], 0)
+
+
 def _list_values(p: CodeParams) -> np.ndarray:
     """codeword_values without the length check: a meet-in-the-middle join.
 
     A word is a prefix i of the first a = n // 2 positions and a suffix j
     of the other b, position 1 the most significant bit of each, and its
     value is i << b | j.  It is a member when the suffix's residue state
-    equals p's triple minus the prefix's.  The suffix states are ordered by
-    a stable argsort, so each state's run lists its suffixes in ascending
-    j; for every prefix in ascending i, one searchsorted over the runs'
-    states finds the run of its missing state.  The values then come out
-    ascending with no sort, and the member count is known before any
-    member array is allocated.
+    equals p's triple minus the prefix's.  _suffix_runs groups the suffixes
+    by state, each run in ascending j; for every prefix in ascending i, one
+    searchsorted over the runs' states finds the run of its missing state.
+    The values then come out ascending with no sort, and the member count
+    is known before any member array is allocated.
     """
     n = p.n
     a = n // 2
     b = n - a
     _check_cap(p, "the subset states", _listing_bytes(n, 0))
-    suffix = _subset_states(n, range(n, a, -1))  # bit k of j is position n - k
-    order = np.argsort(suffix, kind="stable")
-    ranked = suffix[order]
-    del suffix
-    run_start = np.flatnonzero(np.diff(ranked, prepend=-1))
-    run_len = np.diff(run_start, append=len(ranked))
-    run_state = ranked[run_start]
-    del ranked
+    runs = _suffix_runs(n, b)
     # What each prefix (bit k of i is position a - k) leaves for its suffix.
-    missing = _subset_states(n, range(a, 0, -1), (p.c0, p.c1, p.c2), -1)
-    run = np.searchsorted(run_state, missing)
-    np.minimum(run, len(run_state) - 1, out=run)
-    count = np.where(run_state[run] == missing, run_len[run], 0)
-    del missing
+    first, count = _find_runs(runs, _subset_states(n, range(a, 0, -1), (p.c0, p.c1, p.c2), -1))
     total = int(count.sum())
     _check_cap(p, f"the {total} members", _listing_bytes(n, total))
-    # Member m of prefix i takes the suffix at rank run_start[run[i]] + m.
-    rank = np.repeat(run_start[run] - (np.cumsum(count) - count), count)
+    # Member m of prefix i takes the suffix at rank first[i] + m.
+    rank = np.repeat(first - (np.cumsum(count) - count), count)
     rank += np.arange(total)
     values = np.repeat(np.arange(1 << a, dtype=np.int64) << b, count)
-    values |= order[rank]
+    values |= runs[0][rank]
     values = values.view(np.uint64)
     # 0^n can only come first and 1^n last.
     lo = int(total > 0 and values[0] == 0)
@@ -325,27 +303,46 @@ def _list_values(p: CodeParams) -> np.ndarray:
     return values[lo:hi]
 
 
-def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
-    """Endless members of a class with at least one, drawn without listing.
+def _pick(p: CodeParams, h: int, runs: _Runs, i: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Class words picked by (prefix i, rank m) pairs; runs are _suffix_runs(n, h).
 
-    Each draw walks down the reachability table from the empty prefix,
-    picking at each position one of the bits whose next state some suffix
-    still completes into the class, and starts over when it ends on a
-    constant word.  Every member can be drawn, but not with equal
-    probability.  Only the packed table (n * 16n^3 / 8 bytes) is allocated,
-    so any length up to SCAN_CEILING stays under ENUMERATION_BYTE_CAP.
+    Pair (i, m), bit k of i being position n - h - k, picks i << h | j, j
+    the suffix of rank m in the run of i's missing state, if that run is
+    longer than m; other pairs are dropped.  Distinct pairs pick distinct
+    words, and every class word has one pair.
+    """
+    a = p.n - h
+    shifts = np.array([_position_shift(a - k) for k in range(a)], dtype=np.int64).reshape(a, 3)
+    parts = np.array([p.c0, p.c1, p.c2]) - ((i[:, None] >> np.arange(a)) & 1) @ shifts
+    missing = np.ravel_multi_index(tuple((parts % _moduli(p.n)).T), _moduli(p.n))
+    first, count = _find_runs(runs, missing)
+    hit = m < count
+    return i[hit] << h | runs[0][first[hit] + m[hit]]
+
+
+def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
+    """Endless members of a class with at least one, uniform, drawn without listing.
+
+    Each batch draws uniform prefixes of the first n - h positions and ranks
+    below the longest run of the last h, h = _listed_positions(n) (at most
+    n^3 suffix states), and keeps the non-constant words that _pick finds.
     """
     n = p.n
-    reach = _reachability(p)
-    top = (1 << n) - 1
+    h = _listed_positions(n)
+    runs = _suffix_runs(n, h)
+    width = int(runs[2].max())
+    # A draw is one random 64-bit word: its low r bits a rank, kept below
+    # width, then n - h bits a prefix; r <= h, as no run is longer than 2^h.
+    r = (width - 1).bit_length()
+    constant = (0, (1 << n) - 1)
     while True:
-        state = value = 0
-        for k in range(1, n + 1):
-            steps = [(0, state), (1, int(_set_position(state, n, k)))]
-            bit, state = rng.choice([(b, s) for b, s in steps if _reached(reach[k - 1], s)])
-            value = value << 1 | bit
-        if value not in (0, top):
-            yield value
+        word = np.frombuffer(rng.randbytes(8 * _DRAW_BATCH), dtype=np.int64)
+        m = word & ((1 << r) - 1)
+        keep = m < width
+        i = word[keep] >> r & ((1 << (n - h)) - 1)
+        for value in _pick(p, h, runs, i, m[keep]).tolist():
+            if value not in constant:
+                yield value
 
 
 def enumerate_code(p: CodeParams) -> Iterator[Word]:

@@ -87,6 +87,22 @@ def suffix_diff(x: Word, x2: Word) -> SuffixDiff:
     return tuple(u)
 
 
+def _mixed_starts(u: Sequence[int]) -> list[int]:
+    """Prefix scan of u: entry b is the largest a where u_a..u_b holds both signs, else 0.
+
+    So u_a..u_b (1-based; zeros go with either sign) is sign-constant iff a > entry b.
+    """
+    mixed = [0]
+    last_pos = last_neg = 0
+    for i, v in enumerate(u, 1):
+        if v > 0:
+            last_pos = i
+        elif v < 0:
+            last_neg = i
+        mixed.append(last_pos if last_pos < last_neg else last_neg)
+    return mixed
+
+
 def sign_segments_ok(
     u: Sequence[int],
     breakpoints: Sequence[int],
@@ -96,11 +112,9 @@ def sign_segments_ok(
     """True iff every segment cut by the breakpoints is sign-constant.
 
     Breakpoints p_1 < ... < p_m split [1, n] into segments ending at each
-    p_j and finally at n; a segment passes when it does not contain both a
-    positive and a negative entry (zeros are compatible with either sign).
-    By default the first segment starts at position 1, the stricter of the
-    two conventions; with first_segment_from_one=False it starts at
-    position 2, leaving u_1 unconstrained.
+    p_j and finally at n, each tested on _mixed_starts(u).  The first one
+    starts at position 1, the stricter convention, or with
+    first_segment_from_one=False at 2, leaving u_1 unconstrained.
     """
     n = len(u)
     bps = list(breakpoints)
@@ -108,10 +122,6 @@ def sign_segments_ok(
         raise ValueError(f"breakpoints out of range [1, {n}]: {bps}")
     if any(bps[k] >= bps[k + 1] for k in range(len(bps) - 1)):
         raise ValueError(f"breakpoints must be strictly ascending: {bps}")
+    mixed = _mixed_starts(u)
     starts = [1 if first_segment_from_one else 2] + [p + 1 for p in bps]
-    ends = bps + [n]
-    for a, b in zip(starts, ends):
-        seg = u[a - 1 : b]
-        if any(v > 0 for v in seg) and any(v < 0 for v in seg):
-            return False
-    return True
+    return all(a > mixed[b] for a, b in zip(starts, bps + [n]))

@@ -32,7 +32,7 @@ from .channel import (
 )
 from .code import CodeParams, CodeStats, _list_values, _random_members, bucket_counts, choose_params
 from .decoder import DecodeResult, ListBoundError, list_decode
-from .syndromes import suffix_diff, vt_syndrome
+from .syndromes import _mixed_starts, suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
 
 __all__ = [
@@ -317,24 +317,14 @@ class SignSplitResult:
 
 
 def _splittable(u: Sequence[int], m: int, first_from_one: bool) -> bool:
-    """Can m breakpoints cut u into sign-constant segments?"""
+    """Can m breakpoints cut u into sign-constant segments?  u_a..u_b is one iff a > mixed[b]."""
     n = len(u)
-    pos = [0] * (n + 1)
-    neg = [0] * (n + 1)
-    for i, v in enumerate(u, 1):
-        pos[i] = pos[i - 1] + (v > 0)
-        neg[i] = neg[i - 1] + (v < 0)
-
-    def ok(a: int, b: int) -> bool:
-        if a > b:
-            return True
-        return not (pos[b] - pos[a - 1] and neg[b] - neg[a - 1])
-
+    mixed = _mixed_starts(u)
     start = 1 if first_from_one else 2
     if m == 1:
-        return any(ok(start, p1) and ok(p1 + 1, n) for p1 in range(1, n + 1))
+        return any(start > mixed[p1] and p1 + 1 > mixed[n] for p1 in range(1, n + 1))
     return any(
-        ok(start, p1) and ok(p1 + 1, p2) and ok(p2 + 1, n)
+        start > mixed[p1] and p1 + 1 > mixed[p2] and p2 + 1 > mixed[n]
         for p1 in range(1, n)
         for p2 in range(p1 + 1, n + 1)
     )
@@ -532,6 +522,9 @@ def full_report(
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ValueError(f"repeated checks {repeated}; name each check once")
     if max_collisions < 0:
         raise ValueError(f"max_collisions must be >= 0, got {max_collisions}")
     for check in checks:
@@ -610,9 +603,8 @@ def smoke_report(
     Smoke, not verification: random corruptions of randomly drawn
     codewords must decode back, and no decode may ever list more than
     two candidates.  The class is counted once and never listed: each
-    codeword comes from a random walk down its reachability table, which
-    reaches every member but is not uniform over them, so any length up
-    to SCAN_CEILING runs.
+    codeword is drawn uniformly from it by code._random_members, whose
+    tables stay small at any length up to SCAN_CEILING.
     """
     if samples < 1:
         raise ValueError(f"smoke sampling needs samples >= 1, got {samples}")

@@ -255,6 +255,7 @@ def test_verify_negative_max_collisions_is_usage_error(capsys):
         ["--n", "12", "--smoke", "3", "--checks", "list2"],
         ["--n", "12", "--smoke", "3", "--max-collisions", "5"],
         ["--n", "12", "--smoke", "3", "--timing"],
+        ["--n", "12", "--checks", "sign,sign"],
     ],
 )
 def test_verify_refuses_vacuous_and_out_of_range_runs(capsys, argv):

@@ -26,11 +26,13 @@ from delsub import (
     wt_f1_f2,
 )
 from delsub.code import (
+    _listed_positions,
     _listing_bytes,
+    _moduli,
+    _pick,
+    _position_shift,
     _random_members,
-    _reachability,
-    _reached,
-    _set_position,
+    _suffix_runs,
 )
 
 W = Word.from_text
@@ -98,6 +100,40 @@ def _arange_classes(n):
         f1 += bit * i
         f2 += bit * (i * (i + 1) // 2)
     return ((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)
+
+
+def _reachability(p):
+    """Oracle: backward reachability table, one bit-packed row per prefix length.
+
+    Row k - 1 marks the flat residue states that positions 1..k may leave
+    and that some choice of positions k+1..n still carries to p's triple;
+    _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes,
+    so the table takes n * 16n^3 / 8 bytes.
+    """
+    n = p.n
+    reach = np.zeros(_moduli(n), dtype=bool)
+    reach[p.c0, p.c1, p.c2] = True
+    packed = np.empty((n, reach.size // 8), dtype=np.uint8)
+    packed[n - 1] = np.packbits(reach, bitorder="little")
+    for k in range(n - 1, 0, -1):
+        back = tuple(-v for v in _position_shift(k + 1))
+        reach |= np.roll(reach, back, axis=(0, 1, 2))
+        packed[k - 1] = np.packbits(reach, bitorder="little")
+    return packed
+
+
+def _reached(row, state):
+    """Whether a packed reachability row marks each flat state (an int or int64 array)."""
+    return ((row[state >> 3] >> (state & 7)) & 1) == 1
+
+
+def _set_position(state, n, i):
+    """Flat residue states after a 1 is placed at position i."""
+    m0, m1, m2 = _moduli(n)
+    wt, rest = np.divmod(state, m1 * m2)
+    f1, f2 = np.divmod(rest, m2)
+    d0, d1, d2 = _position_shift(i)
+    return (((wt + d0) % m0) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
 
 
 def _reach_list_oracle(p):
@@ -350,6 +386,42 @@ def test_random_members_skip_the_constant_words():
             assert members
             draws = _random_members(p, random.Random(n))
             assert {next(draws) for _ in range(50 * len(members))} == members
+
+
+def _pick_grid(p):
+    """The sampler's accept map over every (prefix, rank) pair, constant words dropped."""
+    n = p.n
+    h = _listed_positions(n)
+    runs = _suffix_runs(n, h)
+    width = int(runs[2].max())
+    i = np.repeat(np.arange(1 << (n - h), dtype=np.int64), width)
+    m = np.tile(np.arange(width), 1 << (n - h))
+    picked = _pick(p, h, runs, i, m)
+    return np.sort(picked[(picked != 0) & (picked != (1 << n) - 1)]).view(np.uint64)
+
+
+def test_random_members_pick_each_member_from_exactly_one_draw():
+    """Exact uniformity: the accepted (prefix, rank) pairs and the members are in bijection."""
+    for n in range(2, 10):
+        for key in np.flatnonzero(bucket_counts(n)).tolist():
+            p = params_from_bucket(n, key)
+            assert np.array_equal(_pick_grid(p), codeword_values(p)), p
+    for n in range(10, 21):
+        p, _ = choose_params(n)
+        assert np.array_equal(_pick_grid(p), codeword_values(p)), p
+
+
+def test_random_members_memory_peak_at_the_counting_ceiling():
+    p, _ = choose_params(SCAN_CEILING)
+    tracemalloc.start()
+    try:
+        draws = _random_members(p, random.Random(0))
+        members = [next(draws) for _ in range(20)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(matches_value(p, x) for x in members)
+    assert peak < 8 * (1 << 20)
 
 
 def test_codeword_values_refuses_a_class_over_the_memory_cap():

@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
@@ -551,6 +551,26 @@ def test_splittable_matches_sign_segments():
     assert _splittable((1, -1, 1), 2, True)
 
 
+def test_splittable_matches_sign_segments_on_every_difference_vector():
+    """Every u that is the suffix sums of some d in {-1, 0, 1}^n, n <= 8.
+
+    d itself is tried too: its signs may flip with no zero between them,
+    which a difference vector never does.
+    """
+    cases = 0
+    for n in range(1, 9):
+        for d in product((-1, 0, 1), repeat=n):
+            for u in (tuple(accumulate(reversed(d)))[::-1], d):
+                for m, first in product((1, 2), (True, False)):
+                    expected = any(
+                        sign_segments_ok(u, bps, first_segment_from_one=first)
+                        for bps in combinations(range(1, n + 1), m)
+                    )
+                    assert _splittable(u, m, first) == expected, (u, m, first)
+                    cases += 1
+    assert cases == 8 * sum(3**n for n in range(1, 9))
+
+
 # --- weight-delta table -----------------------------------------------------------
 
 
@@ -728,7 +748,8 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
     )
     # The records take their witnesses from the verifier's arrays.
     _forbid(monkeypatch, [(decoder, "all_witnesses")], "a report called the decoder's witnesses")
-    _forbid(monkeypatch, [(code, "_reachability")], "a report built a reachability table")
+    drawn = [(code, "_random_members"), (verifier, "_random_members")]
+    _forbid(monkeypatch, drawn, "a report drew samples")
     report, passed = full_report(14, p)
     assert passed and report["collision_count"] > 0
     assert report["auto_params"] is not explicit
