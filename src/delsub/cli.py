@@ -8,9 +8,10 @@ single document on stdout.  Exit codes: 0 success, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .channel import error_ball
 from .code import SCAN_CEILING, CodeParams, choose_params, is_codeword
@@ -38,11 +39,12 @@ def _word(text: str, n: int, what: str) -> Word:
     return w
 
 
-def _emit(doc, fmt: str, text_lines: list[str]) -> None:
+def _emit(doc, fmt: str, text: Callable[[], Iterable[str]]) -> None:
+    """Print doc as one JSON line, or the lines of text(), rendered only for --format text."""
     if fmt == "json":
         print(json.dumps(doc))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -59,7 +61,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     _emit(
         doc,
         args.format,
-        [
+        lambda: [
             f"n={p.n} params=({p.c0},{p.c1},{p.c2}) size={stats.size} "
             f"redundancy={stats.redundancy}"
         ],
@@ -71,7 +73,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     p = CodeParams(args.n, *args.params)
     w = _word(args.word, args.n, "--word")
     ok = is_codeword(w, p)
-    _emit(ok, args.format, ["true" if ok else "false"])
+    _emit(ok, args.format, lambda: ["true" if ok else "false"])
     return 0 if ok else 1
 
 
@@ -85,10 +87,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         ],
         "count": len(result.candidates),
     }
-    lines = [f"count={doc['count']}"] + [
-        f"{c['word']} d={c['d']} e={c['e']}" for c in doc["candidates"]
-    ]
-    _emit(doc, args.format, lines)
+    lines = (f"{c['word']} d={c['d']} e={c['e']}" for c in doc["candidates"])
+    _emit(doc, args.format, lambda: [f"count={doc['count']}", *lines])
     return 0
 
 
@@ -100,7 +100,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
     w = _word(args.word, args.n, "--word")
     ball = sorted(error_ball(w))
     doc = {"n": args.n, "word": str(w), "size": len(ball), "ball": [str(y) for y in ball]}
-    _emit(doc, args.format, [f"size={len(ball)}"] + [str(y) for y in ball])
+    _emit(doc, args.format, lambda: [f"size={len(ball)}", *map(str, ball)])
     return 0
 
 
@@ -141,8 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             max_collisions=100 if args.max_collisions is None else args.max_collisions,
             timing=args.timing,
         )
-    lines = [f"{k}={v}" for k, v in doc.items()]
-    _emit(doc, args.format, lines)
+    _emit(doc, args.format, lambda: [f"{k}={v}" for k, v in doc.items()])
     return 0 if passed else 1
 
 
@@ -161,10 +160,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         }
         for r in rows
     ]
-    lines = [f"{'n':>4} {'size':>10} {'redundancy':>12} {'bound':>8} {'margin':>8}"] + [
-        f"{r.n:>4} {r.size:>10} {r.redundancy:>12.4f} {r.bound:>8.4f} {r.margin:>8.4f}"
-        for r in rows
-    ]
+
+    def lines() -> Iterator[str]:
+        yield f"{'n':>4} {'size':>10} {'redundancy':>12} {'bound':>8} {'margin':>8}"
+        for r in rows:
+            yield f"{r.n:>4} {r.size:>10} {r.redundancy:>12.4f} {r.bound:>8.4f} {r.margin:>8.4f}"
+
     _emit(doc, args.format, lines)
     return 0 if all(r.margin >= 0 for r in rows) else 1
 
@@ -175,10 +176,12 @@ def cmd_examples(args: argparse.Namespace) -> int:
         {"name": c.name, "u": list(c.u), "ok": c.ok, "failures": c.failures}
         for c in checks
     ]
-    lines = []
-    for c in checks:
-        u_text = "(" + ",".join(str(v) for v in c.u) + ")"
-        lines.append(f"{c.name}: u={u_text} {'ok' if c.ok else 'FAILED ' + '; '.join(c.failures)}")
+
+    def lines() -> Iterator[str]:
+        for c in checks:
+            u_text = "(" + ",".join(str(v) for v in c.u) + ")"
+            yield f"{c.name}: u={u_text} {'ok' if c.ok else 'FAILED ' + '; '.join(c.failures)}"
+
     _emit(doc, args.format, lines)
     return 0 if all(c.ok for c in checks) else 1
 
@@ -244,9 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built on main's first call and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

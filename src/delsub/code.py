@@ -152,19 +152,20 @@ def _listed_positions(n: int) -> int:
     return min(n, (n**3).bit_length() - 1)
 
 
-def bucket_counts(n: int) -> np.ndarray:
-    """Size of every residue class, the two constant words excluded.
+def _class_sizes(n: int) -> np.ndarray:
+    """Size of every residue class, flat, in the fold table's own dtype.
 
     The flat layout is that of bucket_index, so ascending index order is
-    lexicographic (c0, c1, c2) order.  The sizes are the coefficients of
+    lexicographic (c0, c1, c2) order, and the two constant words are
+    excluded.  The sizes are the coefficients of
     prod_i (1 + t^(1, i, i(i+1)/2)) over Z4 x Z2n x Z2n^2.  The first h
     factors, h the largest with 2^h <= n^3, are expanded by listing the
     flat states of all 2^h prefixes and counting them; the other n - h
     fold into the 16n^3 cells in place, one weight plane at a time with
     one spare plane, so no word of {0,1}^n is visited and the table is
-    never copied whole.  The folds run on int32 cells for n <= 31, where a
-    cell never holds all 2^n words (0^n and 10...0 differ in weight) and
-    so stays below 2^31, and on int64 cells above; the sizes are int64.
+    never copied whole.  The cells are int32 for n <= 31, where a cell
+    never holds all 2^n words (0^n and 10...0 differ in weight) and so
+    stays below 2^31, and int64 above.
     """
     _check_scan_n(n)
     shape = _moduli(n)
@@ -185,21 +186,31 @@ def bucket_counts(n: int) -> np.ndarray:
         for a in range(shape[0] - 1, 0, -1):
             _add_shifted(table[a], table[a - 1], d1, d2)
         _add_shifted(table[0], top, d1, d2)
-    counts = table.ravel().astype(np.int64, copy=False)
+    sizes = table.ravel()
     for w in (Word.zeros(n), Word.ones(n)):  # in no class, by definition
-        counts[params_of(w).bucket_index] -= 1
-    return counts
+        sizes[params_of(w).bucket_index] -= 1
+    return sizes
+
+
+def bucket_counts(n: int) -> np.ndarray:
+    """Size of every residue class as int64, in _class_sizes' flat layout.
+
+    The one int64 copy of the class table (for n <= 31); the package's own
+    callers read _class_sizes directly.
+    """
+    return _class_sizes(n).astype(np.int64, copy=False)
 
 
 def choose_params(n: int) -> tuple[CodeParams, CodeStats]:
     """Largest residue class at length n; ties break to the smallest triple.
 
     The 16n^3 classes partition {0,1}^n minus the constant words, so the
-    winner holds at least (2^n - 2) / 16n^3 words.
+    winner holds at least (2^n - 2) / 16n^3 words.  Reads the class table
+    in its own dtype (_class_sizes), with no int64 copy.
     """
-    counts = bucket_counts(n)
-    best = int(np.argmax(counts))  # first maximum = smallest (c0, c1, c2)
-    return params_from_bucket(n, best), CodeStats(n, int(counts[best]))
+    sizes = _class_sizes(n)
+    best = int(np.argmax(sizes))  # first maximum = smallest (c0, c1, c2)
+    return params_from_bucket(n, best), CodeStats(n, int(sizes[best]))
 
 
 def _subset_states(

@@ -30,7 +30,7 @@ from .channel import (
     classify_weight_delta,
     iter_events,
 )
-from .code import CodeParams, CodeStats, _list_values, _random_members, bucket_counts, choose_params
+from .code import CodeParams, CodeStats, _class_sizes, _list_values, _random_members, choose_params
 from .decoder import DecodeResult, ListBoundError, list_decode
 from .syndromes import _mixed_starts, suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
@@ -99,29 +99,51 @@ def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uin
 
 # Member offsets, within a run, of the pairs of its first three members.
 _PAIR_OFFSETS = np.array([[0, 0, 1], [1, 2, 2]])
+# What _ball_keys writes over a repeated ball entry: above every key, so it sorts last.
+_REPEAT = np.iinfo(np.uint64).max
+
+
+def _ball_keys(n: int, dels: np.ndarray, k: np.uint64) -> np.ndarray:
+    """Every member's distinct ball entries, y << k | i, sorted; (dels, k) from _packed_deletions.
+
+    Each kept deletion result and its n-1 single flips make one uint64
+    array.  One member's rows r - 1 and r differ in one bit of y, at the
+    earlier run's end, so their xor is the flip of that bit.  Flipping it
+    in either row gives the other row's deletion, and flipping the r-2/r-1
+    bit in row r gives row r - 2 with the r-1/r bit flipped.  These are a
+    member's only repeats, 3R - 4M of them for R rows of M members.  They
+    are set to _REPEAT, so one in-place sort puts them last and a slice
+    cuts them off, with no mask and no copy.
+    """
+    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    keys = dels[:, None] ^ flips
+    member = (np.uint64(1) << k) - np.uint64(1)
+    step = dels[1:] ^ dels[:-1]
+    pair = np.flatnonzero((step & member) == 0)  # rows j and j + 1 of one member
+    chain = pair[:-1][np.diff(pair) == 1]  # rows j, j + 1 and j + 2 of one member
+    col = np.bitwise_count((step >> k) - np.uint64(1)).astype(np.intp) + 1  # flips[col] == step
+    keys[pair + 1, col[pair]] = _REPEAT
+    keys[pair, col[pair]] = _REPEAT
+    keys[chain + 2, col[chain]] = _REPEAT
+    keys = keys.ravel()
+    keys.sort()
+    return keys[: len(keys) - 2 * len(pair) - len(chain)]
 
 
 def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Coverage:
     """Cover every member's ball, then list the colliding (y, x, x') in order.
 
     values must ascend, as codeword_values returns them, and (dels, k) is
-    their _packed_deletions.  Each kept result and its n-1 single flips make
-    one uint64 array of ball entries, sorted in place with repeats (one
-    member reaching y twice) dropped.  Each run of equal y then holds that
-    word's covering members in ascending order.  The longest run is the max
-    list size, counted up to 3, and each run of two or more gives collisions
-    from its first three members, the three smallest: enough to tell 2 from
-    broken.
+    their _packed_deletions.  In _ball_keys' order each run of equal y
+    holds that word's covering members in ascending order.  The longest run
+    is the max list size, counted up to 3, and each run of two or more gives
+    collisions from its first three members, the three smallest: enough to
+    tell 2 from broken.
     """
     if len(values) == 0:
         empty = np.zeros(0, dtype=np.uint64)
         return _Coverage(0, (empty, empty, empty))
-    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
-    keys = (dels[:, None] ^ flips).ravel()
-    keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    keys = keys[fresh]
+    keys = _ball_keys(n, dels, k)
     # y < 2^27 at VERIFY_CEILING, so its uint32 copy is exact.
     ys = np.right_shift(keys, k, out=np.empty(len(keys), dtype=np.uint32), casting="same_kind")
     same = np.zeros(len(keys), dtype=bool)  # entry j + 1 has entry j's y
@@ -233,10 +255,16 @@ _Witnesses = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _collision_witnesses(n: int, cov: _Coverage, rows: int | None) -> tuple[_Witnesses, _Witnesses]:
     """The substitution witnesses of x and of x' on the first rows collision rows (None: all).
 
-    int64 is exact: x < 2^28 at VERIFY_CEILING.
+    One _substitution_witnesses pass over both sides' rows, x's first,
+    split where x''s rows begin.  The int64 views are exact: x < 2^28 at
+    VERIFY_CEILING.
     """
-    y, xa, xb = (c[:rows].astype(np.int64) for c in cov.collisions)
-    return _substitution_witnesses(n, xa, y), _substitution_witnesses(n, xb, y)
+    y, xa, xb = (c[:rows] for c in cov.collisions)
+    row, d, e = _substitution_witnesses(
+        n, np.concatenate((xa, xb)).view(np.int64), np.concatenate((y, y)).view(np.int64)
+    )
+    split = np.searchsorted(row, len(y))
+    return (row[:split], d[:split], e[:split]), (row[split:] - len(y), d[split:], e[split:])
 
 
 def _collision_records(
@@ -493,7 +521,7 @@ def _resolve_class(n: int, params: CodeParams | None) -> tuple[CodeParams, bool,
         return params, True, stats.size
     if params.n != n:
         raise ValueError(f"params are for n={params.n}, not n={n}")
-    return params, False, int(bucket_counts(n)[params.bucket_index])
+    return params, False, int(_class_sizes(n)[params.bucket_index])
 
 
 ALL_CHECKS = tuple(_CHECK_RANGES)

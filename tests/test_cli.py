@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import SCAN_CEILING, choose_params
-from delsub.cli import main
+from delsub.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -200,6 +203,49 @@ def test_verify_all_checks_with_params(capsys):
     assert doc["auto_params"] is False
     assert doc["table1_violations"] == 0
     assert doc["sign_counterexamples"] == 0
+
+
+def test_verify_text_lines_are_the_json_pairs_in_order(capsys):
+    code, doc = run_json(capsys, "verify", "--n", "12")
+    text_code, out, _ = run(capsys, "verify", "--n", "12", "--format", "text")
+    assert text_code == code == 0
+    assert out.splitlines() == [f"{k}={v}" for k, v in doc.items()]
+    assert doc["collision_pairs"]  # the records are among the lines
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import delsub.cli as cli
+
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._main_parser.cache_clear()
+    for argv in (["construct", "--n", "8"], ["check", "--n", "4", "--params", "0,0,0", "--word", "0110"]):
+        run(capsys, *argv)
+        run(capsys, *argv)
+    assert len(built) == 1
+    assert build_parser() is not build_parser()  # the public builder stays fresh
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "delsub.cli", "verify", "--n", "10"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, doc = run_json(capsys, "verify", "--n", "10", "--checks", "sign", "--timing")
+    assert code == 0 and doc["checks"] == ["sign"] and "elapsed" in doc
+    code, _, err = run_usage_error(capsys, "verify", "--n", "x")
+    assert code == 2 and "invalid int value" in err
+    code, out, _ = run(capsys, "construct", "--n", "8", "--format", "text")
+    assert code == 0 and out.startswith("n=8 params=(")
+    assert run(capsys, "verify", "--n", "10") == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_verify_timing_flag_adds_elapsed(capsys):

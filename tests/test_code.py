@@ -26,6 +26,7 @@ from delsub import (
     wt_f1_f2,
 )
 from delsub.code import (
+    _class_sizes,
     _listed_positions,
     _listing_bytes,
     _moduli,
@@ -266,6 +267,24 @@ def test_count_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table_bytes
+
+
+def test_choose_params_reads_the_class_table_in_its_own_dtype():
+    # int32 cells up to n = 31: choose_params argmaxes them in place, and
+    # only bucket_counts widens them to int64.
+    for n in (2, 24, 31, 32, 40):
+        sizes = _class_sizes(n)
+        assert sizes.dtype == (np.int32 if n <= 31 else np.int64)
+        counts = bucket_counts(n)
+        assert counts.dtype == np.int64 and np.array_equal(counts, sizes)
+    choose_params(24)
+    tracemalloc.start()
+    try:
+        choose_params(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * (1 << 20)  # the int32 table is 0.84 MiB; an int64 copy adds 1.7
 
 
 def test_counts_stay_exact_up_to_the_ceiling():
@@ -524,17 +543,17 @@ def test_decode_setup_counts_the_classes_once(monkeypatch):
     """choose_params then codeword_values: the listing needs no count of its own."""
     import delsub.code as code
 
-    calls = {"bucket_counts": 0}
-    real = code.bucket_counts
+    calls = {"_class_sizes": 0}
+    real = code._class_sizes
 
     def counted(n):
-        calls["bucket_counts"] += 1
+        calls["_class_sizes"] += 1
         return real(n)
 
-    monkeypatch.setattr(code, "bucket_counts", counted)
+    monkeypatch.setattr(code, "_class_sizes", counted)
     p, stats = choose_params(24)
     assert len(codeword_values(p)) == stats.size
-    assert calls == {"bucket_counts": 1}
+    assert calls == {"_class_sizes": 1}
 
 
 # --- stats -------------------------------------------------------------------

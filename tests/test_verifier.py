@@ -39,6 +39,7 @@ from delsub import (
 )
 from delsub.verifier import (
     _CASES,
+    _ball_keys,
     _case_indices,
     _case_lambdas,
     _collision_ordering,
@@ -224,6 +225,47 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
     per_word = Counter(y for y, _, _ in _triples(cov))
     assert max(per_word.values()) == 3  # the three pairs of the three smallest
     assert _cover(6, [], *_packed_deletions([], 6)).max_list_size == 0
+
+
+def _ball_keys_oracle(n, dels, k):
+    """Every entry of each kept result and its n-1 flips, sorted, equal neighbours dropped."""
+    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
+    keys = (dels[:, None] ^ flips).ravel()
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _assert_ball_keys_match_oracle(values, n):
+    dels, k = _packed_deletions(values, n)
+    keys = _ball_keys(n, dels, k)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, _ball_keys_oracle(n, dels, k))
+    # Each member keeps exactly its ball, and 3R - 4M entries of the R rows
+    # of M members are dropped.
+    member = (keys & ((np.uint64(1) << k) - np.uint64(1))).astype(np.intp)
+    per_member = np.bincount(member, minlength=len(values)).tolist()
+    assert per_member == [len(ball_values(x, n)) for x in values]
+    assert len(dels) * n - len(keys) == 3 * len(dels) - 4 * len(values)
+
+
+def test_ball_keys_match_the_dedupe_oracle_on_every_class():
+    for n in range(2, 10):
+        for key in np.flatnonzero(bucket_counts(n)).tolist():
+            _assert_ball_keys_match_oracle(codeword_values(params_from_bucket(n, key)).tolist(), n)
+
+
+def test_ball_keys_match_the_dedupe_oracle_on_best_classes():
+    for n in range(10, 21):
+        p, _ = choose_params(n)
+        _assert_ball_keys_match_oracle(codeword_values(p).tolist(), n)
+
+
+def test_ball_keys_of_every_word_drop_only_repeats():
+    # Not a class: every non-constant 7-bit word, so neighbouring members
+    # share deletion results and rows of different members meet.
+    _assert_ball_keys_match_oracle(list(range(1, 127)), 7)
 
 
 def _list2(n, p=None, **kwargs):
@@ -737,8 +779,8 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
     calls = _count_calls(
         monkeypatch,
         [
-            (code, "bucket_counts"),
-            (verifier, "bucket_counts"),
+            (code, "_class_sizes"),
+            (verifier, "_class_sizes"),
             (code, "codeword_values"),
             (verifier, "_list_values"),
             (verifier, "_cover"),
@@ -754,20 +796,21 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
     assert passed and report["collision_count"] > 0
     assert report["auto_params"] is not explicit
     assert calls == {
-        "bucket_counts": 1,
+        "_class_sizes": 1,
         "codeword_values": 0,
         "_list_values": 1,
         "_cover": 1,
         "_packed_deletions": 1,  # one packing for list2/lemma2 and deletion
-        "_substitution_witnesses": 2,  # x and x' of every row, for the records and lemma2
+        "_substitution_witnesses": 1,  # x and x' of every row, for the records and lemma2
     }
 
 
 def test_full_report_memory_peak():
-    # The packing keeps one deletion per run of equal bits and the coverage
-    # a uint32 y, and the coverage sets the peak: the class count folds into
-    # its 16n^3 int64 counters with one spare weight plane and never copies
-    # the whole table.
+    # The packing keeps one deletion per run of equal bits.  The coverage
+    # sorts its ball entries in place and slices the repeats off, with no
+    # dedupe copy; its keys, their uint32 y and the run masks set the peak.
+    # The class count folds into its 16n^3 int32 counters with one spare
+    # weight plane and never copies the whole table, nor widens it.
     full_report(24)
     tracemalloc.start()
     try:
@@ -802,9 +845,9 @@ def test_full_report_checks_the_length_before_any_work(monkeypatch, n, checks):
     _forbid(
         monkeypatch,
         [
-            (code, "bucket_counts"),
+            (code, "_class_sizes"),
             (code, "codeword_values"),
-            (verifier, "bucket_counts"),
+            (verifier, "_class_sizes"),
             (verifier, "choose_params"),
             (verifier, "_list_values"),
         ],
@@ -849,7 +892,7 @@ def test_smoke_report_counts_once_and_never_lists(monkeypatch, explicit):
         [(code, "codeword_values"), (code, "_list_values"), (verifier, "_list_values")],
         "smoke mode listed the class",
     )
-    calls = _count_calls(monkeypatch, [(code, "bucket_counts"), (verifier, "bucket_counts")])
+    calls = _count_calls(monkeypatch, [(code, "_class_sizes"), (verifier, "_class_sizes")])
     report, passed = smoke_report(20, p, samples=10, seed=3)
     assert passed and report["auto_params"] is not explicit
-    assert calls == {"bucket_counts": 1}
+    assert calls == {"_class_sizes": 1}
