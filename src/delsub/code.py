@@ -252,12 +252,6 @@ def _check_cap(p: CodeParams, what: str, need: int) -> None:
         )
 
 
-def codeword_values(p: CodeParams) -> np.ndarray:
-    """All members of the class as packed values, ascending."""
-    _check_scan_n(p.n)
-    return _list_values(p)
-
-
 def _suffix_runs(n: int, b: int) -> _Runs:
     """Subset states of the last b positions (bit k of j is position n - k), by run.
 
@@ -281,8 +275,8 @@ def _find_runs(runs: _Runs, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return run_start[run], np.where(run_state[run] == missing, run_len[run], 0)
 
 
-def _list_values(p: CodeParams) -> np.ndarray:
-    """codeword_values without the length check: a meet-in-the-middle join.
+def codeword_values(p: CodeParams) -> np.ndarray:
+    """All members of the class as packed values, ascending: a meet-in-the-middle join.
 
     A word is a prefix i of the first a = n // 2 positions and a suffix j
     of the other b, position 1 the most significant bit of each, and its
@@ -294,6 +288,7 @@ def _list_values(p: CodeParams) -> np.ndarray:
     is known before any member array is allocated.
     """
     n = p.n
+    _check_scan_n(n)
     a = n // 2
     b = n - a
     _check_cap(p, "the subset states", _listing_bytes(n, 0))

@@ -30,7 +30,7 @@ from .channel import (
     classify_weight_delta,
     iter_events,
 )
-from .code import CodeParams, CodeStats, _class_sizes, _list_values, _random_members, choose_params
+from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
 from .decoder import DecodeResult, ListBoundError, list_decode
 from .syndromes import _mixed_starts, suffix_diff, vt_syndrome
 from .words import Word, delete_bit, flip_bit, get_bit
@@ -140,9 +140,6 @@ def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Co
     collisions from its first three members, the three smallest: enough to
     tell 2 from broken.
     """
-    if len(values) == 0:
-        empty = np.zeros(0, dtype=np.uint64)
-        return _Coverage(0, (empty, empty, empty))
     keys = _ball_keys(n, dels, k)
     # y < 2^27 at VERIFY_CEILING, so its uint32 copy is exact.
     ys = np.right_shift(keys, k, out=np.empty(len(keys), dtype=np.uint32), casting="same_kind")
@@ -161,7 +158,7 @@ def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Co
     lo = keys[(first[:, None] + _PAIR_OFFSETS[0])[take]] & member
     hi = keys[(first[:, None] + _PAIR_OFFSETS[1])[take]] & member
     y = np.repeat(ys[first], take.sum(axis=1)).astype(np.uint64)
-    return _Coverage(1 + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
+    return _Coverage(int(len(keys) > 0) + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
 
 
 # Ordering case by the ranges (1 before d1, 2 between, 3 after d2) of e1 and e2.
@@ -208,18 +205,6 @@ def _case_indices(d1: np.ndarray, e1: np.ndarray, d2: np.ndarray, e2: np.ndarray
     return _CASE_TABLE[a, b]
 
 
-def _smear(v: np.ndarray) -> np.ndarray:
-    """Each non-negative int64 with every bit below its highest set bit set too."""
-    for s in (1, 2, 4, 8, 16, 32):
-        v = v | (v >> s)
-    return v
-
-
-def _bit_length(v: np.ndarray) -> np.ndarray:
-    """int.bit_length of each non-negative int64."""
-    return np.bitwise_count(_smear(v)).astype(np.int64)
-
-
 def _substitution_witnesses(
     n: int, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,12 +218,13 @@ def _substitution_witnesses(
     """
     a = (x >> 1) ^ y
     b = (x & ((1 << (n - 1)) - 1)) ^ y
-    top = _smear(a)
-    a1 = n - np.bitwise_count(top).astype(np.int64)
-    a2 = n - _bit_length(a ^ (top ^ (top >> 1)))  # a without its highest bit
+    # frexp's exponent of a non-negative integer below 2^53 is its bit length.
+    _, a_len = np.frexp(a)
+    a1 = n - a_len
+    a2 = n - np.frexp(a ^ (np.int64(1) << a_len >> 1))[1]  # a without its highest bit
     rest = b & (b - 1)  # b without its lowest bit
-    b1 = np.where(b != 0, n - _bit_length(b ^ rest), 0)
-    b2 = np.where(rest != 0, n - _bit_length(rest & -rest), 0)
+    b1 = np.where(b != 0, n - np.frexp(b ^ rest)[1], 0)
+    b2 = np.where(rest != 0, n - np.frexp(rest & -rest)[1], 0)
     lo = np.stack((b2, np.maximum(a1, b1)), axis=1).ravel()
     hi = np.maximum(np.stack((np.minimum(b1, a1), a2), axis=1).ravel(), lo)
     e = np.stack((b1 + 1, a1), axis=1).ravel()
@@ -539,7 +525,9 @@ def full_report(
     """Run the selected checks and assemble one report dict.
 
     The only way to run list2, lemma2 and deletion.  The classes are
-    counted once, members listed once and their balls covered once; list2
+    counted once.  Only those three checks read the members: they are
+    listed once and their balls covered once, and a class with no members
+    is refused, since every check would pass on it vacuously.  list2
     and lemma2 read the same arrays of colliding (y, x, x') triples, and
     list2 keeps at most max_collisions records while its count stays
     exact.  Returns (report, passed).  Timing is opt-in so identical runs emit
@@ -559,10 +547,13 @@ def full_report(
         _check_n(check, n)
     start = time.perf_counter()
     params, auto, size = _resolve_class(n, params)
-    values = _list_values(params)
-    if len(values) != size:
-        raise RuntimeError(f"listed {len(values)} members of {params}, counted {size}")
-    dels, k = _packed_deletions(values, n)
+    if {"list2", "lemma2", "deletion"} & set(checks):
+        if size == 0:
+            raise ValueError(f"{params} has no members to check")
+        values = codeword_values(params)
+        if len(values) != size:
+            raise RuntimeError(f"listed {len(values)} members of {params}, counted {size}")
+        dels, k = _packed_deletions(values, n)
     stats = CodeStats(n, size)
     report: dict = {
         "n": n,

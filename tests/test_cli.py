@@ -2,9 +2,11 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -195,12 +197,13 @@ def test_verify_all_checks_with_params(capsys):
         "--n",
         "8",
         "--params",
-        "0,0,0",
+        "0,0,53",
         "--checks",
         "list2,lemma2,sign,table1,deletion",
     )
     assert code == 0
     assert doc["auto_params"] is False
+    assert doc["code_size"] == 2 and doc["collision_count"] > 0  # not the best class, (0, 0, 47)
     assert doc["table1_violations"] == 0
     assert doc["sign_counterexamples"] == 0
 
@@ -296,6 +299,7 @@ def test_verify_negative_max_collisions_is_usage_error(capsys):
         ["--n", "10", "--smoke", "0"],
         ["--n", "10", "--smoke", "-3"],
         ["--n", "8", "--params", "0,0,1", "--smoke", "5"],
+        ["--n", "8", "--params", "0,0,0"],
         ["--n", "40", "--checks", "deletion"],
         ["--n", "12", "--smoke", "3", "--checks", "sign,bogus"],
         ["--n", "12", "--smoke", "3", "--checks", "list2"],
@@ -468,3 +472,22 @@ def test_cli_argv_fuzz(argv):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# --- README ----------------------------------------------------------------------
+
+
+def _readme_cli_lines():
+    """The delsub command lines of README's CLI block, comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("delsub ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = _readme_cli_lines()
+    assert lines
+    for argv in lines:
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        json.loads(out)

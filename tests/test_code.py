@@ -535,7 +535,7 @@ def test_full_report_is_unchanged_under_the_reachability_oracle(monkeypatch):
 
     lengths = range(2, VERIFY_CEILING + 1)
     fast = [full_report(n)[0] for n in lengths]
-    monkeypatch.setattr(verifier, "_list_values", _reach_list_oracle)
+    monkeypatch.setattr(verifier, "codeword_values", _reach_list_oracle)
     assert [full_report(n)[0] for n in lengths] == fast
 
 

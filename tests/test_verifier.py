@@ -1,3 +1,6 @@
+import ast
+import inspect
+import random
 import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations, product
@@ -49,6 +52,7 @@ from delsub.verifier import (
     _deletion_balls_disjoint,
     _packed_deletions,
     _splittable,
+    _substitution_witnesses,
 )
 
 W = Word.from_text
@@ -346,15 +350,17 @@ def test_singleton_class_covers_its_own_ball():
 
 
 def test_empty_class_report():
+    # With no members, list2, lemma2 and deletion would pass vacuously.
     n = 8
     counts = bucket_counts(n)
-    idx = int(np.flatnonzero(counts == 0)[0])
-    report, _ = full_report(n, params_from_bucket(n, idx), checks=("list2", "deletion"))
+    p = params_from_bucket(n, int(np.flatnonzero(counts == 0)[0]))
+    for check in ("list2", "lemma2", "deletion"):
+        with pytest.raises(ValueError, match="no members"):
+            full_report(n, p, checks=("sign", check))
+    report, passed = full_report(n, p, checks=("sign", "table1"))
+    assert passed
     assert report["code_size"] == 0
     assert report["redundancy"] is None
-    assert report["max_list_size"] == 0
-    assert report["collision_pairs"] == []
-    assert report["single_deletion_ok"] is True
 
 
 # --- collision ordering -------------------------------------------------------
@@ -380,6 +386,36 @@ def test_collision_ordering_across_all_colliding_classes():
         r, _ = full_report(n, params_from_bucket(n, key), checks=("lemma2",))
         assert r["lemma2_violations"] == 0
         assert set(r["lemma2_cases"]) <= {"iv"}
+
+
+def _assert_witness_rows_match(n, rows):
+    """_substitution_witnesses on (x, y) rows: all_witnesses' substitutions, row by row, in order."""
+    x, y = np.array(rows, dtype=np.int64).T
+    got = list(zip(*(c.tolist() for c in _substitution_witnesses(n, x, y))))
+    assert got == [
+        (r, w.d, w.e)
+        for r, (xv, yv) in enumerate(rows)
+        for w in all_witnesses(Word(n, xv), Word(n - 1, yv))
+        if w.e is not None
+    ]
+
+
+def test_substitution_witnesses_match_all_witnesses_on_every_ball():
+    for n in range(2, 11):
+        rows = [(x, y) for x in range(1, (1 << n) - 1) for y in sorted(ball_values(x, n))]
+        _assert_witness_rows_match(n, rows)
+
+
+def test_substitution_witnesses_match_all_witnesses_at_n28():
+    n = 28
+    rng = random.Random(28)
+    xs = [rng.randrange(1, (1 << n) - 1) for _ in range(12)] + [1, 1 << (n - 1), 0b1011 << 20]
+    rows = [(x, y) for x in xs for y in sorted(ball_values(x, n))]
+    # The bit-length edge cases: no mismatch in A or in B, and B with two.
+    a = [(x >> 1) ^ y for x, y in rows]
+    b = [(x & ((1 << (n - 1)) - 1)) ^ y for x, y in rows]
+    assert 0 in a and 0 in b and any((v & (v - 1)).bit_count() == 1 for v in b)
+    _assert_witness_rows_match(n, rows)
 
 
 def _ordering_oracle(n, cov):
@@ -725,10 +761,10 @@ def test_full_report_structure_and_pass():
 
 
 def test_full_report_explicit_params_and_unknown_check():
-    p = CodeParams(8, 0, 0, 0)
+    p = CodeParams(8, 0, 0, 53)  # not the best class, (0, 0, 47)
     report, passed = full_report(8, p, checks=("list2",))
     assert not report["auto_params"]
-    assert report["params"] == {"c0": 0, "c1": 0, "c2": 0}
+    assert report["params"] == {"c0": 0, "c1": 0, "c2": 53}
     assert passed
     with pytest.raises(ValueError):
         full_report(8, checks=("list2", "bogus"))
@@ -775,14 +811,15 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
 
     p = choose_params(14)[0] if explicit else None
     # choose_params counts through the code module's name, the explicit
-    # path through the verifier's; both count under one key.
+    # path through the verifier's; both count under one key, as do the
+    # two names of the listing.
     calls = _count_calls(
         monkeypatch,
         [
             (code, "_class_sizes"),
             (verifier, "_class_sizes"),
             (code, "codeword_values"),
-            (verifier, "_list_values"),
+            (verifier, "codeword_values"),
             (verifier, "_cover"),
             (verifier, "_packed_deletions"),
             (verifier, "_substitution_witnesses"),
@@ -797,12 +834,40 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
     assert report["auto_params"] is not explicit
     assert calls == {
         "_class_sizes": 1,
-        "codeword_values": 0,
-        "_list_values": 1,
+        "codeword_values": 1,
         "_cover": 1,
         "_packed_deletions": 1,  # one packing for list2/lemma2 and deletion
         "_substitution_witnesses": 1,  # x and x' of every row, for the records and lemma2
     }
+
+
+def test_class_free_checks_list_nothing(monkeypatch):
+    import delsub.code as code
+    import delsub.verifier as verifier
+
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (code, "codeword_values"),
+            (verifier, "codeword_values"),
+            (verifier, "_packed_deletions"),
+        ],
+    )
+    report, passed = full_report(10, checks=("sign", "table1"))
+    assert passed and report["code_size"] == choose_params(10)[1].size
+    assert calls == {"codeword_values": 0, "_packed_deletions": 0}
+
+
+def test_verifier_imports_no_other_private_code_name():
+    import delsub.verifier as verifier
+
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(verifier)))
+        if isinstance(node, ast.ImportFrom) and node.module == "code"
+        for alias in node.names
+    }
+    assert {name for name in imported if name.startswith("_")} <= {"_class_sizes", "_random_members"}
 
 
 def test_full_report_memory_peak():
@@ -849,7 +914,7 @@ def test_full_report_checks_the_length_before_any_work(monkeypatch, n, checks):
             (code, "codeword_values"),
             (verifier, "_class_sizes"),
             (verifier, "choose_params"),
-            (verifier, "_list_values"),
+            (verifier, "codeword_values"),
         ],
         "a class was counted or listed before the length check",
     )
@@ -889,7 +954,7 @@ def test_smoke_report_counts_once_and_never_lists(monkeypatch, explicit):
     p = choose_params(20)[0] if explicit else None
     _forbid(
         monkeypatch,
-        [(code, "codeword_values"), (code, "_list_values"), (verifier, "_list_values")],
+        [(code, "codeword_values"), (verifier, "codeword_values")],
         "smoke mode listed the class",
     )
     calls = _count_calls(monkeypatch, [(code, "_class_sizes"), (verifier, "_class_sizes")])
