@@ -26,8 +26,8 @@ class ListBoundError(RuntimeError):
 class DecodeResult:
     """Candidate codewords (at most two) with canonical witnesses.
 
-    `examined` counts membership tests and is the cost knob the pruned
-    decoder is measured by.
+    `examined` is the number of membership tests the pruned decoder ran:
+    a count of the work done, not a setting.
     """
 
     candidates: list[tuple[Word, ErrorEvent]]

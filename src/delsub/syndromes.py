@@ -54,20 +54,24 @@ def vt_syndrome(x: Word, j: int) -> int:
     return total
 
 
+def _suffix_weights(value: int, n: int) -> list[int]:
+    """s_1..s_n of a packed n-bit value: s_i is the weight of positions i..n."""
+    return [(value & ((1 << k) - 1)).bit_count() for k in range(n, 0, -1)]
+
+
+def _power_sum(s: Sequence[int], j: int) -> int:
+    """Sum of s_i * i^(j-1): f_j from suffix weights s, or f_j(x) - f_j(x2) from their u."""
+    return sum(w * i ** (j - 1) for i, w in enumerate(s, 1))
+
+
 def vt_syndrome_from_suffix_sums(x: Word, j: int) -> int:
     """Same syndrome from the rearranged sum: (suffix weight from i) * i^(j-1).
 
-    Kept as an independent route so the two summation orders can be
-    cross-checked against each other.
+    The sign scan's route, cross-checked against vt_syndrome as its oracle.
     """
     if j < 1:
         raise ValueError(f"syndrome order must be >= 1, got {j}")
-    suffix = 0
-    total = 0
-    for i in range(x.n, 0, -1):
-        suffix += get_bit(x.value, x.n, i)
-        total += suffix * i ** (j - 1)
-    return total
+    return _power_sum(_suffix_weights(x.value, x.n), j)
 
 
 def suffix_diff(x: Word, x2: Word) -> SuffixDiff:
@@ -77,14 +81,7 @@ def suffix_diff(x: Word, x2: Word) -> SuffixDiff:
     """
     if x.n != x2.n:
         raise ValueError(f"length mismatch: {x.n} vs {x2.n}")
-    u = []
-    a = b = 0
-    for i in range(x.n, 0, -1):
-        a += get_bit(x.value, x.n, i)
-        b += get_bit(x2.value, x2.n, i)
-        u.append(a - b)
-    u.reverse()
-    return tuple(u)
+    return tuple(a - b for a, b in zip(_suffix_weights(x.value, x.n), _suffix_weights(x2.value, x2.n)))
 
 
 def _mixed_starts(u: Sequence[int]) -> list[int]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ from .channel import (
 )
 from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
 from .decoder import DecodeResult, ListBoundError, list_decode
-from .syndromes import _mixed_starts, suffix_diff, vt_syndrome
+from .syndromes import _mixed_starts, _power_sum, _suffix_weights
 from .words import Word, delete_bit, flip_bit, get_bit
 
 __all__ = [
@@ -331,17 +332,17 @@ class SignSplitResult:
 
 
 def _splittable(u: Sequence[int], m: int, first_from_one: bool) -> bool:
-    """Can m breakpoints cut u into sign-constant segments?  u_a..u_b is one iff a > mixed[b]."""
-    n = len(u)
+    """Can m breakpoints cut u into sign-constant segments?  u_a..u_b is one iff a > mixed[b].
+
+    mixed never decreases, so the longest such segment from a ends just before
+    bisect_left(mixed, a).  Taking it m + 1 times covers u iff some split does,
+    given m breakpoints fit in [1, n].
+    """
     mixed = _mixed_starts(u)
     start = 1 if first_from_one else 2
-    if m == 1:
-        return any(start > mixed[p1] and p1 + 1 > mixed[n] for p1 in range(1, n + 1))
-    return any(
-        start > mixed[p1] and p1 + 1 > mixed[p2] and p2 + 1 > mixed[n]
-        for p1 in range(1, n)
-        for p2 in range(p1 + 1, n + 1)
-    )
+    for _ in range(m + 1):
+        start = bisect_left(mixed, start)
+    return m <= len(u) and start > len(u)
 
 
 def verify_sign_split(n: int, m: int) -> SignSplitResult:
@@ -350,26 +351,24 @@ def verify_sign_split(n: int, m: int) -> SignSplitResult:
     A counterexample is a pair of distinct words whose f1..f_{m+1} agree
     as exact integers and whose suffix-difference vector can be cut into
     m+1 sign-constant segments; zero counterexamples means equal syndromes
-    plus a sign split force equality.  Words are bucketed by syndrome
-    tuple first, so only genuinely colliding pairs are compared.
+    plus a sign split force equality.  Each word's suffix weights s are
+    computed once; words are bucketed by the f_j read from s, so only
+    genuinely colliding pairs are compared, on u = s(x) - s(x').
     """
     if m not in (1, 2):
         raise ValueError(f"segment parameter must be 1 or 2, got {m}")
     _check_n("sign", n)
-    buckets: dict[tuple[int, ...], list[int]] = {}
+    buckets: dict[tuple[int, ...], list[list[int]]] = {}
     for v in range(1 << n):
-        w = Word(n, v)
-        key = tuple(vt_syndrome(w, j) for j in range(1, m + 2))
-        buckets.setdefault(key, []).append(v)
+        s = _suffix_weights(v, n)
+        buckets.setdefault(tuple(_power_sum(s, j) for j in range(1, m + 2)), []).append(s)
     pairs = strict = relaxed = 0
     for group in buckets.values():
-        for a, b in combinations(group, 2):
-            u = suffix_diff(Word(n, a), Word(n, b))
+        for sa, sb in combinations(group, 2):
+            u = [p - q for p, q in zip(sa, sb)]
             pairs += 1
-            if _splittable(u, m, True):
-                strict += 1
-            if _splittable(u, m, False):
-                relaxed += 1
+            strict += _splittable(u, m, True)
+            relaxed += _splittable(u, m, False)
     return SignSplitResult(n, m, pairs, strict, relaxed)
 
 

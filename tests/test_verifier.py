@@ -594,6 +594,39 @@ def test_sign_split_zero_counterexamples_small():
         assert verify_sign_split(n, 2).counterexamples == 0
 
 
+# (pairs_checked, counterexamples, relaxed_counterexamples) at n = 2..14.
+_SIGN_COUNTS = {
+    1: [
+        *[(0, 0, 0)] * 4,
+        (2, 0, 2),
+        (7, 0, 5),
+        (29, 0, 20),
+        (90, 0, 48),
+        (312, 0, 144),
+        (905, 0, 336),
+        (3067, 0, 1024),
+        (9258, 0, 2368),
+        (29244, 0, 6144),
+    ],
+    2: [
+        *[(0, 0, 0)] * 9,
+        (16, 0, 16),
+        (48, 0, 32),
+        (200, 0, 132),
+        (544, 0, 264),
+    ],
+}
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_sign_split_counts_are_pinned(m):
+    got = []
+    for n in range(2, 15):
+        r = verify_sign_split(n, m)
+        got.append((r.pairs_checked, r.counterexamples, r.relaxed_counterexamples))
+    assert got == _SIGN_COUNTS[m]
+
+
 def test_sign_split_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_sign_split(8, 3)
@@ -629,6 +662,14 @@ def test_splittable_matches_sign_segments():
     assert _splittable((1, -1, 1), 2, True)
 
 
+def _split_by_breakpoints(u, m, first):
+    """Oracle: some set of m breakpoints cuts u into sign-constant segments."""
+    return any(
+        sign_segments_ok(u, bps, first_segment_from_one=first)
+        for bps in combinations(range(1, len(u) + 1), m)
+    )
+
+
 def test_splittable_matches_sign_segments_on_every_difference_vector():
     """Every u that is the suffix sums of some d in {-1, 0, 1}^n, n <= 8.
 
@@ -639,14 +680,31 @@ def test_splittable_matches_sign_segments_on_every_difference_vector():
     for n in range(1, 9):
         for d in product((-1, 0, 1), repeat=n):
             for u in (tuple(accumulate(reversed(d)))[::-1], d):
-                for m, first in product((1, 2), (True, False)):
-                    expected = any(
-                        sign_segments_ok(u, bps, first_segment_from_one=first)
-                        for bps in combinations(range(1, n + 1), m)
-                    )
-                    assert _splittable(u, m, first) == expected, (u, m, first)
+                for m, first in product((1, 2, 3), (True, False)):
+                    assert _splittable(u, m, first) == _split_by_breakpoints(u, m, first), (u, m, first)
                     cases += 1
-    assert cases == 8 * sum(3**n for n in range(1, 9))
+    assert cases == 12 * sum(3**n for n in range(1, 9))
+
+
+@st.composite
+def sign_runs(draw):
+    """u in {-2..2}^n for 9 <= n <= 24: one to six runs of alternating sign, zeros allowed."""
+    n = draw(st.integers(9, 24))
+    runs = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=runs - 1, max_size=runs - 1)))
+    sign = draw(st.sampled_from((-1, 1)))
+    u = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        u += [sign * a for a in draw(st.lists(st.integers(0, 2), min_size=hi - lo, max_size=hi - lo))]
+        sign = -sign
+    return tuple(u)
+
+
+@given(sign_runs(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_splittable_matches_sign_segments_beyond_n8(u, m):
+    for first in (True, False):
+        assert _splittable(u, m, first) == _split_by_breakpoints(u, m, first), (u, m, first)
 
 
 # --- weight-delta table -----------------------------------------------------------
