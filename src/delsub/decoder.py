@@ -83,13 +83,12 @@ def canonical_witness(x: Word, y: Word) -> ErrorEvent:
     return witnesses[0]
 
 
-def _collect(found: set[int], y: Word, p: CodeParams, examined: int) -> DecodeResult:
-    words = [Word(p.n, v) for v in sorted(found)]
-    if len(words) > 2:
+def _collect(found: dict[int, ErrorEvent], y: Word, p: CodeParams, examined: int) -> DecodeResult:
+    if len(found) > 2:
         raise ListBoundError(
-            f"{len(words)} codewords of {p} reach {y}; the two-candidate bound is broken"
+            f"{len(found)} codewords of {p} reach {y}; the two-candidate bound is broken"
         )
-    return DecodeResult([(w, canonical_witness(w, y)) for w in words], examined)
+    return DecodeResult([(Word(p.n, v), found[v]) for v in sorted(found)], examined)
 
 
 def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
@@ -116,7 +115,7 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
                 examined += 1
                 if matches_value(p, cand):
                     found.add(cand)
-    return _collect(found, y, p, examined)
+    return _collect({v: canonical_witness(Word(n, v), y) for v in found}, y, p, examined)
 
 
 def list_decode(y: Word, p: CodeParams) -> DecodeResult:
@@ -124,7 +123,9 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
 
     The received weight determines the deleted symbol and the substitution
     direction, so only one insertion value and one flip direction survive:
-    about a quarter of the brute-force candidates.
+    about a quarter of the brute-force candidates.  Every substitution
+    witness of a candidate carries those symbols, and the search visits
+    them in ascending (d, e), so its first hit is the canonical witness.
     """
     n = p.n
     if y.n != n - 1:
@@ -137,7 +138,7 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     # The substitution happened on the way out; decoding flips it back.
     flip_from = 1 if cls.substitution is Substitution.ZERO_TO_ONE else 0
     examined = 0
-    found: set[int] = set()
+    found: dict[int, ErrorEvent] = {}
     for d in range(1, n + 1):
         base = insert_bit(y.value, n - 1, d, inserted)
         for e in range(1, n + 1):
@@ -146,5 +147,5 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
             cand = flip_bit(base, n, e)
             examined += 1
             if matches_value(p, cand):
-                found.add(cand)
+                found.setdefault(cand, ErrorEvent(d, e))
     return _collect(found, y, p, examined)

@@ -67,7 +67,8 @@ def _power_sum(s: Sequence[int], j: int) -> int:
 def vt_syndrome_from_suffix_sums(x: Word, j: int) -> int:
     """Same syndrome from the rearranged sum: (suffix weight from i) * i^(j-1).
 
-    The sign scan's route, cross-checked against vt_syndrome as its oracle.
+    The sum the sign scan buckets words by (it calls _power_sum on each
+    word's _suffix_weights directly), cross-checked against vt_syndrome.
     """
     if j < 1:
         raise ValueError(f"syndrome order must be >= 1, got {j}")

@@ -162,18 +162,12 @@ def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Co
     return _Coverage(int(len(keys) > 0) + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
 
 
-# Ordering case by the ranges (1 before d1, 2 between, 3 after d2) of e1 and e2.
-_CASE_BY_RANGES = {
-    (1, 1): "i",
-    (1, 2): "ii",
-    (2, 1): "ii",
-    (1, 3): "iii",
-    (3, 1): "iii",
-    (2, 2): "iv",
-    (2, 3): "v",
-    (3, 2): "v",
-    (3, 3): "vi",
-}
+# The ordering case by the ranges of e1 and e2, each 0 before d1, 1 between
+# the deletions or 2 after d2: the case names in report order, and the 3x3
+# table of their indices.
+_CASES, _CASE_TABLE = np.unique(
+    [["i", "ii", "iii"], ["ii", "iv", "v"], ["iii", "v", "vi"]], return_inverse=True
+)
 
 
 def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
@@ -187,22 +181,16 @@ def classify_case(d1: int, e1: int, d2: int, e2: int) -> str:
         raise ValueError("expected d1 <= d2")
     if e1 == d1 or e2 == d2:
         raise ValueError("substitution positions must differ from their deletions")
-    a = 1 if e1 < d1 else (2 if e1 <= d2 else 3)
-    b = 1 if e2 < d1 else (2 if e2 < d2 else 3)
-    return _CASE_BY_RANGES[(a, b)]
+    return str(_CASES[_case_indices(d1, e1, d2, e2)])
 
 
-# Case names in report order, and the case index by the two ranges' indices.
-_CASES = tuple(sorted(set(_CASE_BY_RANGES.values())))
-_CASE_TABLE = np.array(
-    [[_CASES.index(_CASE_BY_RANGES[(a, b)]) for b in (1, 2, 3)] for a in (1, 2, 3)]
-)
+def _case_indices(d1, e1, d2, e2):
+    """classify_case as an index into _CASES, on ints or int64 arrays of valid positions.
 
-
-def _case_indices(d1: np.ndarray, e1: np.ndarray, d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """classify_case on int64 arrays of valid positions, as indices into _CASES."""
-    a = (e1 >= d1).astype(np.intp) + (e1 > d2)
-    b = (e2 >= d1).astype(np.intp) + (e2 >= d2)
+    e1 lies between the deletions when d1 < e1 <= d2, e2 when d1 <= e2 < d2.
+    """
+    a = np.add(e1 >= d1, e1 > d2, dtype=np.intp)
+    b = np.add(e2 >= d1, e2 >= d2, dtype=np.intp)
     return _CASE_TABLE[a, b]
 
 
@@ -303,11 +291,11 @@ def _collision_ordering(n: int, cov: _Coverage, wits: tuple[_Witnesses, _Witness
     cases = _case_indices(
         np.minimum(da, db), np.where(swap, eb, ea), np.maximum(da, db), np.where(swap, ea, eb)
     )
-    counts = np.bincount(cases, minlength=len(_CASES)).tolist()
+    counts = dict(zip(_CASES.tolist(), np.bincount(cases, minlength=len(_CASES)).tolist()))
     weights_differ = np.bitwise_count(xa) != np.bitwise_count(xb)
     return {
-        "lemma2_violations": len(cases) - counts[_CASES.index("iv")],
-        "lemma2_cases": {case: c for case, c in zip(_CASES, counts) if c},
+        "lemma2_violations": len(cases) - counts["iv"],
+        "lemma2_cases": {case: c for case, c in counts.items() if c},
         "lemma2_weight_mismatches": int(np.count_nonzero(weights_differ)),
         "lemma2_deleted_symbol_mismatches": int(np.count_nonzero(deleted_a != deleted_b)),
     }
@@ -331,18 +319,18 @@ class SignSplitResult:
     relaxed_counterexamples: int  # same with the first segment starting at 2
 
 
-def _splittable(u: Sequence[int], m: int, first_from_one: bool) -> bool:
-    """Can m breakpoints cut u into sign-constant segments?  u_a..u_b is one iff a > mixed[b].
+def _splittable(mixed: Sequence[int], m: int, first_from_one: bool) -> bool:
+    """Can m breakpoints cut u into sign-constant segments?  mixed is _mixed_starts(u).
 
-    mixed never decreases, so the longest such segment from a ends just before
-    bisect_left(mixed, a).  Taking it m + 1 times covers u iff some split does,
-    given m breakpoints fit in [1, n].
+    u_a..u_b is one such segment iff a > mixed[b].  mixed never decreases,
+    so the longest segment from a ends just before bisect_left(mixed, a).
+    Taking it m + 1 times covers u, whose length n is len(mixed) - 1, iff
+    some split does, given m breakpoints fit in [1, n].
     """
-    mixed = _mixed_starts(u)
     start = 1 if first_from_one else 2
     for _ in range(m + 1):
         start = bisect_left(mixed, start)
-    return m <= len(u) and start > len(u)
+    return m < len(mixed) and start == len(mixed)
 
 
 def verify_sign_split(n: int, m: int) -> SignSplitResult:
@@ -353,7 +341,8 @@ def verify_sign_split(n: int, m: int) -> SignSplitResult:
     m+1 sign-constant segments; zero counterexamples means equal syndromes
     plus a sign split force equality.  Each word's suffix weights s are
     computed once; words are bucketed by the f_j read from s, so only
-    genuinely colliding pairs are compared, on u = s(x) - s(x').
+    genuinely colliding pairs are compared, on one _mixed_starts scan of
+    u = s(x) - s(x') for both conventions.
     """
     if m not in (1, 2):
         raise ValueError(f"segment parameter must be 1 or 2, got {m}")
@@ -365,10 +354,10 @@ def verify_sign_split(n: int, m: int) -> SignSplitResult:
     pairs = strict = relaxed = 0
     for group in buckets.values():
         for sa, sb in combinations(group, 2):
-            u = [p - q for p, q in zip(sa, sb)]
+            mixed = _mixed_starts([p - q for p, q in zip(sa, sb)])
             pairs += 1
-            strict += _splittable(u, m, True)
-            relaxed += _splittable(u, m, False)
+            strict += _splittable(mixed, m, True)
+            relaxed += _splittable(mixed, m, False)
     return SignSplitResult(n, m, pairs, strict, relaxed)
 
 

@@ -15,14 +15,9 @@ from delsub import (
     iter_corruptions,
     iter_events,
 )
+from strategies import words
 
 W = Word.from_text
-
-
-@st.composite
-def words(draw, min_n=2, max_n=14):
-    n = draw(st.integers(min_n, max_n))
-    return Word(n, draw(st.integers(0, (1 << n) - 1)))
 
 
 @st.composite
@@ -84,13 +79,13 @@ def test_ball_of_zero_word():
     assert got == expected
 
 
-@given(words())
+@given(words(2, 14))
 @settings(max_examples=60)
 def test_ball_size_bounded_by_event_count(w):
     assert len(error_ball(w)) <= w.n * w.n
 
 
-@given(words(max_n=9))
+@given(words(2, 9))
 @settings(max_examples=40)
 def test_ball_equals_event_images(w):
     assert error_ball(w) == {y for _, y in iter_corruptions(w)}

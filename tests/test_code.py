@@ -35,14 +35,9 @@ from delsub.code import (
     _random_members,
     _suffix_runs,
 )
+from strategies import words
 
 W = Word.from_text
-
-
-@st.composite
-def words(draw, min_n=2, max_n=16):
-    n = draw(st.integers(min_n, max_n))
-    return Word(n, draw(st.integers(0, (1 << n) - 1)))
 
 
 def _gray_counts(n):
@@ -198,7 +193,7 @@ def test_is_codeword_rejects_length_mismatch():
         is_codeword(W("10100"), CodeParams(4, 2, 4, 7))
 
 
-@given(words())
+@given(words(2, 16))
 def test_params_of_contains_its_word(w):
     expected = w.value not in (0, (1 << w.n) - 1)
     assert is_codeword(w, params_of(w)) == expected
@@ -211,7 +206,7 @@ def test_params_of_known_values():
     assert params_of(W("1101101000101110")) == CodeParams(16, 1, 8, 439)
 
 
-@given(words(max_n=20))
+@given(words(2, 20))
 def test_params_of_residues_in_range(w):
     p = params_of(w)
     assert p.n == w.n
@@ -299,7 +294,7 @@ def test_scan_rejects_out_of_range_n():
         choose_params(1)
 
 
-@given(words(max_n=24), st.data())
+@given(words(2, 24), st.data())
 def test_single_flip_deltas(w, data):
     """Flipping position i moves (wt, f1, f2) by exactly (1, i, i(i+1)/2)."""
     i = data.draw(st.integers(1, w.n))

@@ -208,6 +208,28 @@ def test_two_candidate_results_interleave_their_witnesses():
     assert seen > 0
 
 
+def test_search_witnesses_are_canonical_on_every_class():
+    """The pruned search's first hit on each candidate is its canonical witness."""
+    for n in range(2, 8):
+        classes = {params_of(Word(n, v)) for v in range(1, (1 << n) - 1)}
+        for p in sorted(classes, key=lambda p: p.bucket_index):
+            for yv in range(1 << (n - 1)):
+                y = Word(n - 1, yv)
+                for w, ev in list_decode(y, p).candidates:
+                    assert ev == canonical_witness(w, y), (p, y, w)
+                    assert apply_del_sub(w, ev) == y
+
+
+def test_list_decode_takes_its_witnesses_from_the_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("list_decode called a closed-form witness")
+
+    monkeypatch.setattr(decoder_module, "canonical_witness", forbidden)
+    monkeypatch.setattr(decoder_module, "all_witnesses", forbidden)
+    result = list_decode(Y1, P1)
+    assert result.candidates == [(X1, ErrorEvent(6, 8))]
+
+
 def test_decode_empty_class_returns_nothing():
     # Weight residue 1 forces original weight 9 for an 8-bit word: impossible.
     p = CodeParams(8, 1, 0, 0)

@@ -10,14 +10,9 @@ from delsub import (
     vt_syndrome_from_suffix_sums,
     wt_f1_f2,
 )
+from strategies import words
 
 W = Word.from_text
-
-
-@st.composite
-def words(draw, min_n=1, max_n=20):
-    n = draw(st.integers(min_n, max_n))
-    return Word(n, draw(st.integers(0, (1 << n) - 1)))
 
 
 @st.composite
@@ -66,13 +61,13 @@ def test_summation_orders_agree_exhaustively():
                 assert vt_syndrome(w, j) == vt_syndrome_from_suffix_sums(w, j)
 
 
-@given(words(max_n=24), st.integers(1, 5))
+@given(words(1, 24), st.integers(1, 5))
 @settings(max_examples=150)
 def test_summation_orders_agree_property(w, j):
     assert vt_syndrome(w, j) == vt_syndrome_from_suffix_sums(w, j)
 
 
-@given(words(max_n=24))
+@given(words(1, 24))
 def test_wt_f1_f2_matches_reference_routes(w):
     wt, f1, f2 = wt_f1_f2(w.value, w.n)
     assert wt == w.weight
@@ -132,7 +127,7 @@ def test_suffix_diff_structure(pair):
     assert (u == (0,) * x.n) == (x == y)
 
 
-@given(words())
+@given(words(1, 20))
 def test_weight_is_first_suffix_diff_against_zero(w):
     assert suffix_diff(w, Word.zeros(w.n))[0] == w.weight
 

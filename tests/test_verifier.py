@@ -40,6 +40,7 @@ from delsub import (
     verify_weight_deltas,
     vt_syndrome,
 )
+from delsub.syndromes import _mixed_starts
 from delsub.verifier import (
     _CASES,
     _ball_keys,
@@ -63,6 +64,27 @@ X1, XP1, Y1 = W("1101101000101110"), W("1001111001011010"), W("110111100101110")
 # --- ordering-case classification -----------------------------------------
 
 
+# The lemma's ordering case by the ranges (1 before d1, 2 between, 3 after d2) of e1 and e2.
+_CASE_BY_RANGES = {
+    (1, 1): "i",
+    (1, 2): "ii",
+    (2, 1): "ii",
+    (1, 3): "iii",
+    (3, 1): "iii",
+    (2, 2): "iv",
+    (2, 3): "v",
+    (3, 2): "v",
+    (3, 3): "vi",
+}
+
+
+def _case_by_inequalities(d1, e1, d2, e2):
+    """Oracle for the case rule: e1 lies between when d1 < e1 <= d2, e2 when d1 <= e2 < d2."""
+    a = 1 if e1 < d1 else (2 if e1 <= d2 else 3)
+    b = 1 if e2 < d1 else (2 if e2 < d2 else 3)
+    return _CASE_BY_RANGES[(a, b)]
+
+
 @pytest.mark.parametrize(
     "positions, expected",
     [
@@ -76,7 +98,7 @@ X1, XP1, Y1 = W("1101101000101110"), W("1001111001011010"), W("110111100101110")
     ],
 )
 def test_classify_case_rows(positions, expected):
-    assert classify_case(*positions) == expected
+    assert classify_case(*positions) == expected == _case_by_inequalities(*positions)
 
 
 def test_case_indices_match_classify_case_on_every_valid_position():
@@ -91,8 +113,10 @@ def test_case_indices_match_classify_case_on_every_valid_position():
             for e2 in range(1, n + 1)
             if e1 != d1 and e2 != d2
         ]
+        expected = [_case_by_inequalities(*r) for r in rows]
         got = _case_indices(*np.array(rows, dtype=np.int64).T)
-        assert [_CASES[c] for c in got.tolist()] == [classify_case(*r) for r in rows]
+        assert [_CASES[c] for c in got.tolist()] == expected
+        assert [classify_case(*r) for r in rows] == expected
     assert set(_CASES) == {"i", "ii", "iii", "iv", "v", "vi"}
 
 
@@ -627,6 +651,15 @@ def test_sign_split_counts_are_pinned(m):
     assert got == _SIGN_COUNTS[m]
 
 
+def test_sign_split_scans_each_pair_once(monkeypatch):
+    import delsub.verifier as verifier
+
+    calls = _count_calls(monkeypatch, [(verifier, "_mixed_starts")])
+    r = verify_sign_split(10, 1)
+    assert r.pairs_checked > 0
+    assert calls == {"_mixed_starts": r.pairs_checked}  # both conventions read one scan
+
+
 def test_sign_split_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_sign_split(8, 3)
@@ -650,16 +683,16 @@ def test_relaxed_first_segment_admits_counterexamples():
     assert vt_syndrome(x, 2) == vt_syndrome(xp, 2) == 25
     u = suffix_diff(x, xp)
     assert u == (-1, 0, 1, 1, 0, -1)
-    assert not _splittable(u, 1, True)
-    assert _splittable(u, 1, False)
+    assert not _splittable(_mixed_starts(u), 1, True)
+    assert _splittable(_mixed_starts(u), 1, False)
 
 
 def test_splittable_matches_sign_segments():
     u = (0, 0, -1, -1, -1, -1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0)
-    assert _splittable(u, 1, True)
+    assert _splittable(_mixed_starts(u), 1, True)
     assert sign_segments_ok(u, [6])
-    assert not _splittable((1, -1, 1), 1, True)
-    assert _splittable((1, -1, 1), 2, True)
+    assert not _splittable(_mixed_starts((1, -1, 1)), 1, True)
+    assert _splittable(_mixed_starts((1, -1, 1)), 2, True)
 
 
 def _split_by_breakpoints(u, m, first):
@@ -681,7 +714,8 @@ def test_splittable_matches_sign_segments_on_every_difference_vector():
         for d in product((-1, 0, 1), repeat=n):
             for u in (tuple(accumulate(reversed(d)))[::-1], d):
                 for m, first in product((1, 2, 3), (True, False)):
-                    assert _splittable(u, m, first) == _split_by_breakpoints(u, m, first), (u, m, first)
+                    got = _splittable(_mixed_starts(u), m, first)
+                    assert got == _split_by_breakpoints(u, m, first), (u, m, first)
                     cases += 1
     assert cases == 12 * sum(3**n for n in range(1, 9))
 
@@ -704,7 +738,8 @@ def sign_runs(draw):
 @settings(max_examples=150, deadline=None)
 def test_splittable_matches_sign_segments_beyond_n8(u, m):
     for first in (True, False):
-        assert _splittable(u, m, first) == _split_by_breakpoints(u, m, first), (u, m, first)
+        got = _splittable(_mixed_starts(u), m, first)
+        assert got == _split_by_breakpoints(u, m, first), (u, m, first)
 
 
 # --- weight-delta table -----------------------------------------------------------

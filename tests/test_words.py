@@ -3,12 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delsub import Word, delete_bit, flip_bit, get_bit, insert_bit
-
-
-@st.composite
-def words(draw, min_n=1, max_n=20):
-    n = draw(st.integers(min_n, max_n))
-    return Word(n, draw(st.integers(0, (1 << n) - 1)))
+from strategies import words
 
 
 def test_from_text_round_trip():
@@ -54,12 +49,12 @@ def test_bit_position_range():
         w.bit(4)
 
 
-@given(words(min_n=2))
+@given(words(2, 20))
 def test_text_round_trip_property(w):
     assert Word.from_text(str(w)) == w
 
 
-@given(words(min_n=1, max_n=16), st.data())
+@given(words(1, 16), st.data())
 def test_flip_is_involution(w, data):
     i = data.draw(st.integers(1, w.n))
     v = flip_bit(w.value, w.n, i)
@@ -67,7 +62,7 @@ def test_flip_is_involution(w, data):
     assert flip_bit(v, w.n, i) == w.value
 
 
-@given(words(min_n=1, max_n=16), st.data())
+@given(words(1, 16), st.data())
 def test_insert_then_delete_round_trips(w, data):
     d = data.draw(st.integers(1, w.n + 1))
     b = data.draw(st.integers(0, 1))
@@ -76,7 +71,7 @@ def test_insert_then_delete_round_trips(w, data):
     assert delete_bit(grown, w.n + 1, d) == w.value
 
 
-@given(words(min_n=2, max_n=16), st.data())
+@given(words(2, 16), st.data())
 def test_delete_matches_text_slicing(w, data):
     d = data.draw(st.integers(1, w.n))
     text = str(w)
