@@ -19,7 +19,6 @@ from .channel import (
     WeightDeltaClass,
     WeightWindowError,
     apply_del_sub,
-    ball_values,
     classify_weight_delta,
     error_ball,
     iter_corruptions,
@@ -43,7 +42,6 @@ from .code import (
 from .decoder import (
     DecodeResult,
     ListBoundError,
-    all_witnesses,
     canonical_witness,
     list_decode,
     list_decode_brute,

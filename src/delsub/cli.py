@@ -14,7 +14,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .channel import error_ball
-from .code import SCAN_CEILING, CodeParams, choose_params, is_codeword
+from .code import CodeParams, choose_params, is_codeword
 from .decoder import list_decode
 from .scenarios import replay
 from .verifier import ALL_CHECKS, DEFAULT_CHECKS, full_report, redundancy_table, smoke_report
@@ -93,10 +93,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
-    # A ball holds about n^2 words of n-1 bits: at most about 240 KB of
-    # JSON at SCAN_CEILING, unbounded without a limit.
-    if args.n > SCAN_CEILING:
-        raise ValueError(f"ball supports n <= {SCAN_CEILING}, got {args.n}")
     w = _word(args.word, args.n, "--word")
     ball = sorted(error_ball(w))
     doc = {"n": args.n, "word": str(w), "size": len(ball), "ball": [str(y) for y in ball]}

@@ -4,14 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import ErrorEvent, Substitution, WeightWindowError, classify_weight_delta
+import numpy as np
+
+from .channel import (
+    ErrorEvent,
+    Substitution,
+    WeightWindowError,
+    _check_ceiling,
+    _substitution_witnesses,
+    classify_weight_delta,
+)
 from .code import CodeParams, matches_value
 from .words import Word, flip_bit, get_bit, insert_bit
 
 __all__ = [
     "DecodeResult",
     "ListBoundError",
-    "all_witnesses",
     "canonical_witness",
     "list_decode_brute",
     "list_decode",
@@ -38,49 +46,23 @@ class DecodeResult:
         return [w for w, _ in self.candidates]
 
 
-def all_witnesses(x: Word, y: Word) -> list[ErrorEvent]:
-    """Every event mapping x to y: substitution events first, then by (d, e).
+def canonical_witness(x: Word, y: Word) -> ErrorEvent:
+    """Deterministic witness: smallest (d, e) with a substitution when one exists.
 
-    Deleting position d leaves x_1..x_{d-1} facing y_1..y_{d-1} and
-    x_{d+1}..x_n facing y_d..y_{n-1}.  So two masks over y's positions
-    decide every d at once: A = (x >> 1) ^ y compares x_1..x_{n-1} with y
-    and B = (x mod 2^(n-1)) ^ y compares x_2..x_n with y.  Deleting d
-    leaves A's mismatches before d and B's from d on.  With a1 < a2 the
-    first two mismatches of A (n when absent) and b1 > b2 the last two of
-    B (0 when absent):
-
-    - d in (b2, min(b1, a1)] leaves only B's b1: witness (d, b1 + 1);
-    - d in (max(a1, b1), a2] leaves only A's a1: witness (d, a1);
-    - d in (b1, a1] leaves nothing: the pure deletion (d, None).
-
-    The first range lies below the second, so the substitutions come out
-    ordered by d.
+    The first of channel._substitution_witnesses on the one pair: every
+    non-constant word that reaches y has one, while a constant word reaches
+    its own deletion only by pure deletions, the first at d = 1.
     """
     n = x.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit original length {n}")
-    a = (x.value >> 1) ^ y.value
-    b = (x.value & ((1 << (n - 1)) - 1)) ^ y.value
-    # Position q of y is bit n-1-q, so the highest set bit is the first mismatch.
-    a1 = n - a.bit_length()
-    a2 = n - (a ^ (1 << (a.bit_length() - 1))).bit_length() if a else n
-    low = b & -b
-    b1 = n - low.bit_length() if b else 0
-    rest = b ^ low
-    b2 = n - (rest & -rest).bit_length() if rest else 0
-    return (
-        [ErrorEvent(d, b1 + 1) for d in range(b2 + 1, min(b1, a1) + 1)]
-        + [ErrorEvent(d, a1) for d in range(max(a1, b1) + 1, a2 + 1)]
-        + [ErrorEvent(d, None) for d in range(b1 + 1, a1 + 1)]
-    )
-
-
-def canonical_witness(x: Word, y: Word) -> ErrorEvent:
-    """Deterministic witness: smallest (d, e) with a substitution when one exists."""
-    witnesses = all_witnesses(x, y)
-    if not witnesses:
-        raise ValueError(f"{y} is not reachable from {x}")
-    return witnesses[0]
+    _check_ceiling(n, "canonical_witness")
+    _, d, e = _substitution_witnesses(n, np.array([x.value]), np.array([y.value]))  # int64
+    if len(d):
+        return ErrorEvent(int(d[0]), int(e[0]))
+    if x.value in (0, (1 << n) - 1) and y.value == x.value >> 1:
+        return ErrorEvent(1, None)
+    raise ValueError(f"{y} is not reachable from {x}")
 
 
 def _collect(found: dict[int, ErrorEvent], y: Word, p: CodeParams, examined: int) -> DecodeResult:
@@ -95,11 +77,13 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
     """Definitional decoder: insert one bit anywhere, flip at most one other, filter.
 
     Candidates number 2n^2; membership filtering keeps exactly the
-    codewords whose corruption ball contains y.
+    codewords whose corruption ball contains y.  Like canonical_witness,
+    which names each candidate's witness, it stops at SCAN_CEILING.
     """
     n = p.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit code length {n}")
+    _check_ceiling(n, "list_decode_brute")
     examined = 0
     found: set[int] = set()
     for d in range(1, n + 1):

@@ -28,6 +28,9 @@ from .channel import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
+    _ball_keys,
+    _packed_deletions,
+    _substitution_witnesses,
     classify_weight_delta,
     iter_events,
 )
@@ -79,56 +82,8 @@ class _Coverage:
     collisions: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:
-    """Every member's distinct pure-deletion results, each packed as y << k | i.
-
-    i is the member's index in k bits, so for ascending values the sorted
-    keys order the entries by y and, within one y, by member; at
-    VERIFY_CEILING y and i take at most 55 bits.  Deleting any bit of a run
-    of equal bits leaves one word, so only the last deletion of each run is
-    kept, and one member's kept results are distinct.  Returns the flat
-    uint64 key array, member by member, and k.
-    """
-    k = np.uint64((len(values) - 1).bit_length())
-    xs = np.asarray(values, dtype=np.uint64)[:, None]
-    keys = delete_bit(xs, n, np.arange(1, n + 1, dtype=np.uint64)) << k
-    keys |= np.arange(len(values), dtype=np.uint64)[:, None]
-    run_end = np.ones(keys.shape, dtype=bool)
-    run_end[:, :-1] = keys[:, :-1] != keys[:, 1:]
-    return keys[run_end], k
-
-
 # Member offsets, within a run, of the pairs of its first three members.
 _PAIR_OFFSETS = np.array([[0, 0, 1], [1, 2, 2]])
-# What _ball_keys writes over a repeated ball entry: above every key, so it sorts last.
-_REPEAT = np.iinfo(np.uint64).max
-
-
-def _ball_keys(n: int, dels: np.ndarray, k: np.uint64) -> np.ndarray:
-    """Every member's distinct ball entries, y << k | i, sorted; (dels, k) from _packed_deletions.
-
-    Each kept deletion result and its n-1 single flips make one uint64
-    array.  One member's rows r - 1 and r differ in one bit of y, at the
-    earlier run's end, so their xor is the flip of that bit.  Flipping it
-    in either row gives the other row's deletion, and flipping the r-2/r-1
-    bit in row r gives row r - 2 with the r-1/r bit flipped.  These are a
-    member's only repeats, 3R - 4M of them for R rows of M members.  They
-    are set to _REPEAT, so one in-place sort puts them last and a slice
-    cuts them off, with no mask and no copy.
-    """
-    flips = np.array([0] + [1 << q for q in range(n - 1)], dtype=np.uint64) << k
-    keys = dels[:, None] ^ flips
-    member = (np.uint64(1) << k) - np.uint64(1)
-    step = dels[1:] ^ dels[:-1]
-    pair = np.flatnonzero((step & member) == 0)  # rows j and j + 1 of one member
-    chain = pair[:-1][np.diff(pair) == 1]  # rows j, j + 1 and j + 2 of one member
-    col = np.bitwise_count((step >> k) - np.uint64(1)).astype(np.intp) + 1  # flips[col] == step
-    keys[pair + 1, col[pair]] = _REPEAT
-    keys[pair, col[pair]] = _REPEAT
-    keys[chain + 2, col[chain]] = _REPEAT
-    keys = keys.ravel()
-    keys.sort()
-    return keys[: len(keys) - 2 * len(pair) - len(chain)]
 
 
 def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Coverage:
@@ -192,35 +147,6 @@ def _case_indices(d1, e1, d2, e2):
     a = np.add(e1 >= d1, e1 > d2, dtype=np.intp)
     b = np.add(e2 >= d1, e2 >= d2, dtype=np.intp)
     return _CASE_TABLE[a, b]
-
-
-def _substitution_witnesses(
-    n: int, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The substitution witnesses of all_witnesses(x, y) for int64 arrays of rows.
-
-    The same closed form: with a1 < a2 the first two mismatches of
-    A = (x >> 1) ^ y and b1 > b2 the last two of B = (x mod 2^(n-1)) ^ y,
-    the witnesses are d in (b2, min(b1, a1)] with e = b1 + 1 and d in
-    (max(a1, b1), a2] with e = a1.  Returns (row, d, e), one entry per
-    witness, grouped by row in ascending d.
-    """
-    a = (x >> 1) ^ y
-    b = (x & ((1 << (n - 1)) - 1)) ^ y
-    # frexp's exponent of a non-negative integer below 2^53 is its bit length.
-    _, a_len = np.frexp(a)
-    a1 = n - a_len
-    a2 = n - np.frexp(a ^ (np.int64(1) << a_len >> 1))[1]  # a without its highest bit
-    rest = b & (b - 1)  # b without its lowest bit
-    b1 = np.where(b != 0, n - np.frexp(b ^ rest)[1], 0)
-    b2 = np.where(rest != 0, n - np.frexp(rest & -rest)[1], 0)
-    lo = np.stack((b2, np.maximum(a1, b1)), axis=1).ravel()
-    hi = np.maximum(np.stack((np.minimum(b1, a1), a2), axis=1).ravel(), lo)
-    e = np.stack((b1 + 1, a1), axis=1).ravel()
-    size = hi - lo
-    interval = np.repeat(np.arange(len(size)), size)
-    step = np.arange(len(interval)) - np.repeat(np.cumsum(size) - size, size)
-    return interval // 2, lo[interval] + 1 + step, e[interval]
 
 
 # One side's substitution witnesses, as _substitution_witnesses returns them.
@@ -541,7 +467,7 @@ def full_report(
         values = codeword_values(params)
         if len(values) != size:
             raise RuntimeError(f"listed {len(values)} members of {params}, counted {size}")
-        dels, k = _packed_deletions(values, n)
+        dels, k = _packed_deletions(values, n)  # n - 1 + k <= 55 bits at VERIFY_CEILING
     stats = CodeStats(n, size)
     report: dict = {
         "n": n,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 __all__ = ["Word", "get_bit", "flip_bit", "delete_bit", "insert_bit"]
@@ -36,6 +37,9 @@ class Word:
     value: int
 
     def __post_init__(self) -> None:
+        # Plain ints: a numpy integer becomes one, a float or string is refused.
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "value", operator.index(self.value))
         if self.n < 1:
             raise ValueError(f"word length must be positive, got {self.n}")
         if not 0 <= self.value < (1 << self.n):

@@ -13,7 +13,6 @@ import time
 from delsub import (
     ErrorEvent,
     Word,
-    all_witnesses,
     apply_del_sub,
     choose_params,
     enumerate_code,
@@ -27,6 +26,7 @@ from delsub import (
     verify_weight_deltas,
 )
 from delsub.cli import main as cli_main
+from oracles import all_witnesses
 
 W = Word.from_text
 

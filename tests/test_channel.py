@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delsub import (
     CANONICAL_CLASS_BY_DELTA,
+    SCAN_CEILING,
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
@@ -15,6 +16,7 @@ from delsub import (
     iter_corruptions,
     iter_events,
 )
+from oracles import ball_values
 from strategies import words
 
 W = Word.from_text
@@ -85,10 +87,26 @@ def test_ball_size_bounded_by_event_count(w):
     assert len(error_ball(w)) <= w.n * w.n
 
 
-@given(words(2, 9))
-@settings(max_examples=40)
+@st.composite
+def patterned_words(draw, min_n, max_n):
+    """A constant or alternating word of a length drawn from min_n..max_n."""
+    n = draw(st.integers(min_n, max_n))
+    return W((draw(st.sampled_from(["0", "1", "01", "10"])) * n)[:n])
+
+
+@given(st.one_of(words(2, SCAN_CEILING), patterned_words(2, SCAN_CEILING)))
+@example(Word.ones(SCAN_CEILING))
+@example(W("10" * (SCAN_CEILING // 2)))
+@settings(max_examples=60, deadline=None)
 def test_ball_equals_event_images(w):
-    assert error_ball(w) == {y for _, y in iter_corruptions(w)}
+    ball = error_ball(w)
+    assert ball == {y for _, y in iter_corruptions(w)}
+    assert {y.value for y in ball} == ball_values(w.value, w.n)
+
+
+def test_ball_stops_at_the_scan_ceiling():
+    with pytest.raises(ValueError, match=f"n <= {SCAN_CEILING}"):
+        error_ball(Word.ones(SCAN_CEILING + 1))
 
 
 # --- weight-drop classification -------------------------------------------

@@ -2,16 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delsub.channel as channel_module
 import delsub.decoder as decoder_module
 from delsub import (
+    SCAN_CEILING,
     CodeParams,
     ErrorEvent,
     ListBoundError,
     Word,
-    all_witnesses,
     apply_del_sub,
     canonical_witness,
     choose_params,
+    codeword_values,
     delete_bit,
     error_ball,
     is_codeword,
@@ -20,6 +22,7 @@ from delsub import (
     params_of,
     vt_syndrome,
 )
+from oracles import all_witnesses
 
 W = Word.from_text
 
@@ -107,6 +110,18 @@ def test_all_witnesses_matches_the_definition_exhaustively():
             for yv in range(1 << (n - 1)):
                 y = Word(n - 1, yv)
                 assert all_witnesses(x, y) == _witnesses_by_definition(x, y), (x, y)
+
+
+def test_canonical_witness_is_the_first_witness_on_every_reachable_pair():
+    # Constant words included: their own deletion has only pure-deletion witnesses.
+    for n in range(2, 8):
+        for xv in range(1 << n):
+            x = Word(n, xv)
+            for y in error_ball(x):
+                assert canonical_witness(x, y) == all_witnesses(x, y)[0], (x, y)
+    assert canonical_witness(Word.ones(5), Word.ones(4)) == ErrorEvent(1, None)
+    with pytest.raises(ValueError, match="does not fit"):
+        canonical_witness(W("0000"), W("00"))
 
 
 @st.composite
@@ -225,9 +240,34 @@ def test_list_decode_takes_its_witnesses_from_the_search(monkeypatch):
         pytest.fail("list_decode called a closed-form witness")
 
     monkeypatch.setattr(decoder_module, "canonical_witness", forbidden)
-    monkeypatch.setattr(decoder_module, "all_witnesses", forbidden)
+    monkeypatch.setattr(decoder_module, "_substitution_witnesses", forbidden)
+    monkeypatch.setattr(channel_module, "_substitution_witnesses", forbidden)
     result = list_decode(Y1, P1)
     assert result.candidates == [(X1, ErrorEvent(6, 8))]
+
+
+def test_decode_a_corrupted_numpy_member():
+    p, _ = choose_params(12)
+    x = Word(12, codeword_values(p)[0])
+    assert type(x.value) is int
+    assert x in list_decode(apply_del_sub(x, ErrorEvent(2, 5)), p).words
+
+
+def test_closed_form_witnesses_stop_at_the_scan_ceiling(monkeypatch):
+    n = SCAN_CEILING + 1
+    x = W("10" * (n // 2) + "1")
+    y = apply_del_sub(x, ErrorEvent(3, 7))
+    with pytest.raises(ValueError, match=f"n <= {SCAN_CEILING}"):
+        canonical_witness(x, y)
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("list_decode_brute searched past the ceiling")
+
+    monkeypatch.setattr(decoder_module, "matches_value", forbidden)
+    with pytest.raises(ValueError, match=f"n <= {SCAN_CEILING}"):
+        list_decode_brute(y, params_of(x))
+    monkeypatch.undo()
+    assert x in list_decode(y, params_of(x)).words  # the production decoder keeps every length
 
 
 def test_decode_empty_class_returns_nothing():

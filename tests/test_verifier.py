@@ -15,8 +15,6 @@ from delsub import (
     CodeParams,
     ErrorEvent,
     Word,
-    all_witnesses,
-    ball_values,
     bucket_counts,
     canonical_witness,
     choose_params,
@@ -40,10 +38,10 @@ from delsub import (
     verify_weight_deltas,
     vt_syndrome,
 )
+from delsub.channel import _ball_keys, _packed_deletions, _substitution_witnesses
 from delsub.syndromes import _mixed_starts
 from delsub.verifier import (
     _CASES,
-    _ball_keys,
     _case_indices,
     _case_lambdas,
     _collision_ordering,
@@ -51,10 +49,9 @@ from delsub.verifier import (
     _collision_witnesses,
     _cover,
     _deletion_balls_disjoint,
-    _packed_deletions,
     _splittable,
-    _substitution_witnesses,
 )
+from oracles import all_witnesses, ball_values
 
 W = Word.from_text
 
@@ -440,6 +437,24 @@ def test_substitution_witnesses_match_all_witnesses_at_n28():
     b = [(x & ((1 << (n - 1)) - 1)) ^ y for x, y in rows]
     assert 0 in a and 0 in b and any((v & (v - 1)).bit_count() == 1 for v in b)
     _assert_witness_rows_match(n, rows)
+
+
+def test_witnesses_past_53_bits_match_the_oracle():
+    # frexp rounds values of 2^53 or more to a float, so a bit length read
+    # from its exponent alone can be one too large.  (01)^30 with position 1
+    # deleted has the witness (2, 1), which such a bit length loses.
+    x = Word(60, int("01" * 30, 2))
+    y = Word(59, delete_bit(x.value, 60, 1))
+    assert canonical_witness(x, y) == all_witnesses(x, y)[0] == ErrorEvent(2, 1)
+    for n in range(54, 63):
+        for pattern in ("01", "10"):
+            xv = int((pattern * n)[:n], 2)
+            rows = [(xv, y) for y in sorted(ball_values(xv, n))]
+            _assert_witness_rows_match(n, rows)
+            x = Word(n, xv)
+            for d in range(1, n + 1):
+                y = Word(n - 1, delete_bit(xv, n, d))
+                assert canonical_witness(x, y) == all_witnesses(x, y)[0], (x, d)
 
 
 def _ordering_oracle(n, cov):
@@ -898,6 +913,7 @@ def test_full_report_lists_members_and_covers_once_for_explicit_params(monkeypat
 
 
 def _check_lists_members_and_covers_once(monkeypatch, explicit):
+    import delsub.channel as channel
     import delsub.code as code
     import delsub.decoder as decoder
     import delsub.verifier as verifier
@@ -919,7 +935,12 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
         ],
     )
     # The records take their witnesses from the verifier's arrays.
-    _forbid(monkeypatch, [(decoder, "all_witnesses")], "a report called the decoder's witnesses")
+    one_pair = [
+        (decoder, "canonical_witness"),
+        (decoder, "_substitution_witnesses"),
+        (channel, "_substitution_witnesses"),
+    ]
+    _forbid(monkeypatch, one_pair, "a report took witnesses outside its one pass")
     drawn = [(code, "_random_members"), (verifier, "_random_members")]
     _forbid(monkeypatch, drawn, "a report drew samples")
     report, passed = full_report(14, p)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,19 @@ def test_constructor_validation():
         Word(3, 8)
     with pytest.raises(ValueError):
         Word(3, -1)
+
+
+def test_numpy_integers_become_ints():
+    w = Word(np.int64(12), np.uint64(5))
+    assert type(w.n) is int and type(w.value) is int
+    assert w == Word(12, 5) and hash(w) == hash(Word(12, 5))
+    assert w.weight == 2
+
+
+@pytest.mark.parametrize("n, value", [(3, 1.0), (3.0, 1), (3, "1"), ("3", 1)])
+def test_constructor_refuses_non_integers(n, value):
+    with pytest.raises(TypeError):
+        Word(n, value)
 
 
 def test_bit_position_range():
