@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .syndromes import wt_f1_f2
+from .syndromes import _position_shift, wt_f1_f2
 from .words import Word
 
 __all__ = [
@@ -54,11 +55,6 @@ def _moduli(n: int) -> tuple[int, int, int]:
     return 4, 2 * n, 2 * n * n
 
 
-def _position_shift(i: int) -> tuple[int, int, int]:
-    """What a 1 at position i adds to (wt, f1, f2)."""
-    return 1, i, i * (i + 1) // 2
-
-
 @dataclass(frozen=True)
 class CodeParams:
     """Block length together with the (c0, c1, c2) residue triple.
@@ -74,6 +70,9 @@ class CodeParams:
     c2: int
 
     def __post_init__(self) -> None:
+        # Plain ints, as in Word: a numpy integer becomes one, a float is refused.
+        for name in ("n", "c0", "c1", "c2"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 2:
             raise ValueError(f"block length must be >= 2, got {self.n}")
         for name, c, m in zip(("c0", "c1", "c2"), (self.c0, self.c1, self.c2), _moduli(self.n)):

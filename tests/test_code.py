@@ -170,6 +170,12 @@ def test_params_validation():
         assert getattr(CodeParams(8, **{**zeros, field: bound - 1}), field) == bound - 1
 
 
+@pytest.mark.parametrize("fields", [(12, 0.0, 1.0, 5.0), (12.0, 0, 1, 5), (12, 0, "1", 5)])
+def test_params_refuse_non_integers(fields):
+    with pytest.raises(TypeError):
+        CodeParams(*fields)
+
+
 @given(st.integers(2, 24), st.data())
 def test_bucket_index_round_trip(n, data):
     idx = data.draw(st.integers(0, 16 * n**3 - 1))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,15 @@ def test_decode_a_corrupted_numpy_member():
     x = Word(12, codeword_values(p)[0])
     assert type(x.value) is int
     assert x in list_decode(apply_del_sub(x, ErrorEvent(2, 5)), p).words
+
+
+def test_decode_under_numpy_residues():
+    p, _ = choose_params(12)
+    q = CodeParams(*map(np.uint64, (p.n, p.c0, p.c1, p.c2)))
+    assert q == p and all(type(v) is int for v in (q.n, q.c0, q.c1, q.c2))
+    y = apply_del_sub(Word(12, codeword_values(p)[0]), ErrorEvent(2, 5))
+    got = list_decode(y, q)
+    assert got == list_decode(y, p) and got.candidates
 
 
 def test_closed_form_witnesses_stop_at_the_scan_ceiling(monkeypatch):

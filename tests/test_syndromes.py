@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delsub import (
@@ -54,11 +54,14 @@ def test_vt_syndrome_known_values():
 
 
 def test_summation_orders_agree_exhaustively():
+    """Every word to n = 12, so every partial top byte of wt_f1_f2's tables too."""
     for n in range(1, 13):
         for v in range(1 << n):
             w = Word(n, v)
+            f = [vt_syndrome(w, j) for j in (1, 2, 3)]
             for j in (1, 2, 3):
-                assert vt_syndrome(w, j) == vt_syndrome_from_suffix_sums(w, j)
+                assert f[j - 1] == vt_syndrome_from_suffix_sums(w, j)
+            assert wt_f1_f2(v, n) == (w.weight, f[0], f[1])
 
 
 @given(words(1, 24), st.integers(1, 5))
@@ -67,12 +70,27 @@ def test_summation_orders_agree_property(w, j):
     assert vt_syndrome(w, j) == vt_syndrome_from_suffix_sums(w, j)
 
 
-@given(words(1, 24))
+def _table_edge_examples(test):
+    """All-ones and alternating words at the byte-table and field-width edges."""
+    for n in (7, 8, 9, 62, 63, 64, 255, 256, 257):
+        for v in ((1 << n) - 1, int(("10" * n)[:n], 2), int(("01" * n)[:n], 2)):
+            test = example(Word(n, v))(test)
+    return test
+
+
+@given(words(1, 300))
+@_table_edge_examples
 def test_wt_f1_f2_matches_reference_routes(w):
     wt, f1, f2 = wt_f1_f2(w.value, w.n)
     assert wt == w.weight
     assert f1 == vt_syndrome(w, 1)
     assert f2 == vt_syndrome(w, 2)
+
+
+@pytest.mark.parametrize("value, n", [(-1, 4), (16, 4), (1 << 70, 64), (0, 0), (1, 0), (0, -1)])
+def test_wt_f1_f2_refuses_values_outside_the_length(value, n):
+    with pytest.raises(ValueError):
+        wt_f1_f2(value, n)
 
 
 # --- suffix differences -------------------------------------------------

@@ -197,6 +197,28 @@ MUTANTS = (
         "mixed.append(last_pos if last_pos > last_neg else last_neg)",
         ("test_verifier.py::test_sign_split_counts_are_pinned",),
     ),
+    # --- exact syndromes (syndromes._byte_tables, syndromes.wt_f1_f2)
+    Mutant(
+        "f2-field-one-bit-narrower",
+        "syndromes.py",
+        "s2 = s1 + (n * (n + 1) // 2).bit_length()",
+        "s2 = s1 + (n * (n + 1) // 2).bit_length() - 1",
+        ("test_syndromes.py::test_wt_f1_f2_matches_reference_routes",),
+    ),
+    Mutant(
+        "byte-table-position-off-by-one",
+        "syndromes.py",
+        "wt, f1, f2 = _position_shift(n - q)",
+        "wt, f1, f2 = _position_shift(n - q + 1)",
+        ("test_syndromes.py::test_summation_orders_agree_exhaustively",),
+    ),
+    Mutant(
+        "partial-top-byte-dropped",
+        "syndromes.py",
+        "for table in tables:",
+        "for table in tables[: n // 8]:",
+        ("test_syndromes.py::test_summation_orders_agree_exhaustively",),
+    ),
     # --- class count, listing and sampling (code)
     Mutant(
         "fold-planes-ascending",
