@@ -14,8 +14,9 @@ from .channel import (
     _substitution_witnesses,
     classify_weight_delta,
 )
-from .code import CodeParams, matches_value
-from .words import Word, flip_bit, get_bit, insert_bit
+from .code import CodeParams, _moduli, matches_value
+from .syndromes import wt_f1_f2
+from .words import Word, flip_bit, insert_bit
 
 __all__ = [
     "DecodeResult",
@@ -35,7 +36,9 @@ class DecodeResult:
     """Candidate codewords (at most two) with canonical witnesses.
 
     `examined` is the number of membership tests the pruned decoder ran:
-    a count of the work done, not a setting.
+    a count of the work done, not a setting.  It is n times the number of
+    symbols of y equal to the flipped-back symbol, and 0 when the received
+    weight fits no word of the class.
     """
 
     candidates: list[tuple[Word, ErrorEvent]]
@@ -107,9 +110,11 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
 
     The received weight determines the deleted symbol and the substitution
     direction, so only one insertion value and one flip direction survive:
-    about a quarter of the brute-force candidates.  Every substitution
-    witness of a candidate carries those symbols, and the search visits
-    them in ascending (d, e), so its first hit is the canonical witness.
+    about a quarter of the brute-force candidates.  Each deletion d walks
+    only the other positions holding the flipped-back symbol, so every
+    candidate has the recovered weight, c0 mod 4, and one syndrome read
+    checks (c1, c2).  Every substitution witness of a candidate carries those
+    symbols, so the search's first hit, at the smallest d, is the canonical one.
     """
     n = p.n
     if y.n != n - 1:
@@ -121,15 +126,20 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     inserted = cls.deleted_value
     # The substitution happened on the way out; decoding flips it back.
     flip_from = 1 if cls.substitution is Substitution.ZERO_TO_ONE else 0
+    full = (1 << n) - 1
+    _, m1, m2 = _moduli(n)
     examined = 0
     found: dict[int, ErrorEvent] = {}
     for d in range(1, n + 1):
         base = insert_bit(y.value, n - 1, d, inserted)
-        for e in range(1, n + 1):
-            if e == d or get_bit(base, n, e) != flip_from:
-                continue
-            cand = flip_bit(base, n, e)
-            examined += 1
-            if matches_value(p, cand):
+        flips = (base if flip_from else full ^ base) & ~(1 << (n - d))
+        examined += flips.bit_count()
+        while flips:
+            bit = flips & -flips
+            flips ^= bit
+            cand = base ^ bit
+            _, f1, f2 = wt_f1_f2(cand, n)
+            if f1 % m1 == p.c1 and f2 % m2 == p.c2 and 0 < cand < full:
+                e = n + 1 - bit.bit_length()
                 found.setdefault(cand, ErrorEvent(d, e))
     return _collect(found, y, p, examined)

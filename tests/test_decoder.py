@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delsub.channel as channel_module
@@ -10,10 +10,13 @@ from delsub import (
     CodeParams,
     ErrorEvent,
     ListBoundError,
+    Substitution,
+    WeightWindowError,
     Word,
     apply_del_sub,
     canonical_witness,
     choose_params,
+    classify_weight_delta,
     codeword_values,
     delete_bit,
     error_ball,
@@ -206,6 +209,47 @@ def test_decode_completeness(triple):
     assert x in list_decode_brute(y, p).words
 
 
+@st.composite
+def wide_received(draw):
+    """A class params_of(x) past the exhaustive lengths, a corruption of x and one uniform word."""
+    x, p, y = draw(corrupted(min_n=13, max_n=SCAN_CEILING))
+    return x, p, (y, Word(p.n - 1, draw(st.integers(0, (1 << (p.n - 1)) - 1))))
+
+
+def _pin_top_lengths(test):
+    """One explicit example at each n = 53..62, where the int64 witnesses pass 2^53."""
+    for n in range(53, SCAN_CEILING + 1):
+        x = W(("1101" * n)[:n])
+        received = (apply_del_sub(x, ErrorEvent(2, n - 1)), Word(n - 1, (1 << (n - 1)) - 1 - n))
+        test = example((x, params_of(x), received))(test)
+    return test
+
+
+@given(wide_received())
+@_pin_top_lengths
+@settings(max_examples=40, deadline=None)
+def test_decoders_match_past_the_exhaustive_lengths(triple):
+    x, p, received = triple
+    for y in received:
+        assert list_decode(y, p).candidates == list_decode_brute(y, p).candidates, (p, y)
+    assert x in list_decode(received[0], p).words
+
+
+def test_decoders_refuse_the_constant_words():
+    """A weight-1 word is one corruption of 0^n, which has the residues (0, 0, 0),
+    and a weight-(n-2) word one of 1^n: neither constant word may be listed."""
+    for n in range(2, 11):
+        for constant, weight in ((Word.zeros(n), 1), (Word.ones(n), n - 2)):
+            p = params_of(constant)
+            for yv in range(1 << (n - 1)):
+                if yv.bit_count() != weight:
+                    continue
+                y = Word(n - 1, yv)
+                got = list_decode(y, p)
+                assert got.candidates == list_decode_brute(y, p).candidates, (p, y)
+                assert constant not in got.words
+
+
 def test_two_candidate_results_interleave_their_witnesses():
     """When the list has two words, the reported witnesses (ordered by d)
     must place both substitutions between the two deletions."""
@@ -225,15 +269,26 @@ def test_two_candidate_results_interleave_their_witnesses():
 
 
 def test_search_witnesses_are_canonical_on_every_class():
-    """The pruned search's first hit on each candidate is its canonical witness."""
+    """The pruned search lists what brute force lists, its first hit on each
+    candidate is the canonical witness, and it runs one membership test per
+    deletion and per symbol of y equal to the flipped-back symbol."""
     for n in range(2, 8):
         classes = {params_of(Word(n, v)) for v in range(1, (1 << n) - 1)}
         for p in sorted(classes, key=lambda p: p.bucket_index):
             for yv in range(1 << (n - 1)):
                 y = Word(n - 1, yv)
-                for w, ev in list_decode(y, p).candidates:
+                got = list_decode(y, p)
+                assert got.candidates == list_decode_brute(y, p).candidates, (p, y)
+                for w, ev in got.candidates:
                     assert ev == canonical_witness(w, y), (p, y, w)
                     assert apply_del_sub(w, ev) == y
+                try:
+                    sub = classify_weight_delta(p.c0, y.weight, n).substitution
+                except WeightWindowError:
+                    assert got.examined == 0, (p, y)
+                    continue
+                back = 1 if sub is Substitution.ZERO_TO_ONE else 0
+                assert got.examined == n * y.bits().count(back), (p, y)
 
 
 def test_list_decode_takes_its_witnesses_from_the_search(monkeypatch):

@@ -139,6 +139,28 @@ MUTANTS = (
         "found[cand] = ErrorEvent(d, e)",
         ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
     ),
+    # --- the pruned search (decoder.list_decode)
+    Mutant(
+        "decoder-walk-keeps-position-d",
+        "decoder.py",
+        " & ~(1 << (n - d))",
+        "",
+        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
+    ),
+    Mutant(
+        "decoder-walk-reads-the-other-symbol",
+        "decoder.py",
+        "(base if flip_from else full ^ base)",
+        "(full ^ base if flip_from else base)",
+        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
+    ),
+    Mutant(
+        "decoder-keeps-the-constant-words",
+        "decoder.py",
+        " and 0 < cand < full",
+        "",
+        ("test_decoder.py::test_decoders_refuse_the_constant_words",),
+    ),
     # --- collisions and lemma2 (verifier)
     Mutant(
         "record-tie-leads-with-x-prime",
