@@ -7,8 +7,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .code import SCAN_CEILING
-from .words import Word, delete_bit, flip_bit
+from .words import Word, _check_length, delete_bit, flip_bit
 
 __all__ = [
     "Substitution",
@@ -164,11 +163,6 @@ def _ball_keys(n: int, dels: np.ndarray, k: np.uint64) -> np.ndarray:
     return keys[: len(keys) - 2 * len(pair) - len(chain)]
 
 
-def _check_ceiling(n: int, what: str) -> None:
-    if n > SCAN_CEILING:  # the package's one length ceiling
-        raise ValueError(f"{what} supports n <= {SCAN_CEILING}, got {n}")
-
-
 def error_ball(x: Word) -> set[Word]:
     """Distinct words reachable by one deletion and at most one substitution.
 
@@ -177,9 +171,7 @@ def error_ball(x: Word) -> set[Word]:
     cover the ball: _ball_keys of the one word, whose keys (k = 0) are the
     received words themselves.  Refuses n > SCAN_CEILING.
     """
-    if x.n < 2:
-        raise ValueError(f"corruption needs length >= 2, got n={x.n}")
-    _check_ceiling(x.n, "the corruption ball")
+    _check_length(x.n, "the corruption ball")
     keys = _ball_keys(x.n, *_packed_deletions([x.value], x.n))
     return {Word(x.n - 1, y) for y in keys.tolist()}
 

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .channel import error_ball
@@ -18,7 +19,7 @@ from .code import CodeParams, choose_params, is_codeword
 from .decoder import list_decode
 from .scenarios import replay
 from .verifier import ALL_CHECKS, DEFAULT_CHECKS, full_report, redundancy_table, smoke_report
-from .words import Word
+from .words import Word, _check_length
 
 
 def _parse_params(text: str) -> tuple[int, int, int]:
@@ -30,6 +31,13 @@ def _parse_params(text: str) -> tuple[int, int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}")
     return c0, c1, c2
+
+
+def _code(args: argparse.Namespace) -> CodeParams:
+    """The class of --n and --params; like ball, check and decode stop at SCAN_CEILING."""
+    p = CodeParams(args.n, *args.params)
+    _check_length(p.n, args.command)
+    return p
 
 
 def _word(text: str, n: int, what: str) -> Word:
@@ -50,27 +58,14 @@ def _emit(doc, fmt: str, text: Callable[[], Iterable[str]]) -> None:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p, stats = choose_params(args.n)
-    doc = {
-        "n": p.n,
-        "c0": p.c0,
-        "c1": p.c1,
-        "c2": p.c2,
-        "size": stats.size,
-        "redundancy": stats.redundancy,
-    }
-    _emit(
-        doc,
-        args.format,
-        lambda: [
-            f"n={p.n} params=({p.c0},{p.c1},{p.c2}) size={stats.size} "
-            f"redundancy={stats.redundancy}"
-        ],
-    )
+    doc = {**asdict(p), "size": stats.size, "redundancy": stats.redundancy}
+    line = "n={n} params=({c0},{c1},{c2}) size={size} redundancy={redundancy}"
+    _emit(doc, args.format, lambda: [line.format(**doc)])
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    p = CodeParams(args.n, *args.params)
+    p = _code(args)
     w = _word(args.word, args.n, "--word")
     ok = is_codeword(w, p)
     _emit(ok, args.format, lambda: ["true" if ok else "false"])
@@ -78,13 +73,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    p = CodeParams(args.n, *args.params)
+    p = _code(args)
     y = _word(args.word, args.n - 1, "--word (a received word)")
     result = list_decode(y, p)
     doc = {
-        "candidates": [
-            {"word": str(w), "d": ev.d, "e": ev.e} for w, ev in result.candidates
-        ],
+        "candidates": [{"word": str(w), **ev._asdict()} for w, ev in result.candidates],
         "count": len(result.candidates),
     }
     lines = (f"{c['word']} d={c['d']} e={c['e']}" for c in doc["candidates"])
@@ -146,16 +139,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if not ns:
         raise ValueError(f"--n-list needs at least one length, got {args.n_list!r}")
     rows = redundancy_table(ns)
-    doc = [
-        {
-            "n": r.n,
-            "size": r.size,
-            "redundancy": r.redundancy,
-            "bound": r.bound,
-            "margin": r.margin,
-        }
-        for r in rows
-    ]
+    doc = [asdict(r) for r in rows]
 
     def lines() -> Iterator[str]:
         yield f"{'n':>4} {'size':>10} {'redundancy':>12} {'bound':>8} {'margin':>8}"
@@ -168,10 +152,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_examples(args: argparse.Namespace) -> int:
     checks = replay()
-    doc = [
-        {"name": c.name, "u": list(c.u), "ok": c.ok, "failures": c.failures}
-        for c in checks
-    ]
+    doc = [asdict(c) for c in checks]
 
     def lines() -> Iterator[str]:
         for c in checks:
@@ -182,6 +163,14 @@ def cmd_examples(args: argparse.Namespace) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
+# Each flag shared by several subcommands, declared once.
+_FLAGS = {
+    "--n": {"type": int},
+    "--params": {"type": _parse_params, "metavar": "c0,c1,c2"},
+    "--word": {},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delsub",
@@ -189,37 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(handler, help: str, *required: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
+        for flag in required:
+            p.add_argument(flag, required=True, **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("construct", help="pick the largest residue class at length n")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_construct)
-
-    p = sub.add_parser("check", help="test one word for class membership")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--params", type=_parse_params, required=True, metavar="c0,c1,c2")
-    p.add_argument("--word", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("decode", help="list-decode a received (n-1)-bit word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--params", type=_parse_params, required=True, metavar="c0,c1,c2")
-    p.add_argument("--word", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_decode)
-
-    p = sub.add_parser("ball", help="list every word one corruption away")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_ball)
-
-    p = sub.add_parser("verify", help="run exhaustive checks against one class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--params", type=_parse_params, metavar="c0,c1,c2")
+    command(cmd_construct, "pick the largest residue class at length n", "--n")
+    command(cmd_check, "test one word for class membership", "--n", "--params", "--word")
+    command(cmd_decode, "list-decode a received (n-1)-bit word", "--n", "--params", "--word")
+    command(cmd_ball, "list every word one corruption away", "--n", "--word")
+    p = command(cmd_verify, "run exhaustive checks against one class", "--n")
+    p.add_argument("--params", **_FLAGS["--params"])
     p.add_argument(
         "--checks",
         help=f"comma list from: {','.join(ALL_CHECKS)} (default {','.join(DEFAULT_CHECKS)})",
@@ -228,18 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", type=int, metavar="SAMPLES", help="sampled spot checks instead of exhaustion")
     p.add_argument("--seed", type=int, help="smoke-mode RNG seed")
     p.add_argument("--timing", action="store_true", help="include elapsed seconds in the report")
-    common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("table", help="redundancy of the best class per length")
+    p = command(cmd_table, "redundancy of the best class per length")
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
-    common(p)
-    p.set_defaults(handler=cmd_table)
-
-    p = sub.add_parser("examples", help="replay the bundled corruption scenarios")
-    common(p)
-    p.set_defaults(handler=cmd_examples)
-
+    command(cmd_examples, "replay the bundled corruption scenarios")
     return parser
 
 

@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from .syndromes import _position_shift, wt_f1_f2
-from .words import Word
+from .words import SCAN_CEILING, Word, _check_length
 
 __all__ = [
     "SCAN_CEILING",
@@ -27,10 +27,6 @@ __all__ = [
     "codeword_values",
     "enumerate_code",
 ]
-
-# Class counts are exact int64 up to here: every count, and their total
-# 2^n - 2, stays below 2^63.
-SCAN_CEILING = 62
 
 # codeword_values refuses a class whose listing would pass this many bytes:
 # _listing_bytes estimates it from the subset states of the two halves and
@@ -130,11 +126,6 @@ def is_codeword(x: Word, p: CodeParams) -> bool:
     return matches_value(p, x.value)
 
 
-def _check_scan_n(n: int) -> None:
-    if not 2 <= n <= SCAN_CEILING:
-        raise ValueError(f"class counting supports 2 <= n <= {SCAN_CEILING}, got {n}")
-
-
 def _add_shifted(dst: np.ndarray, src: np.ndarray, d1: int, d2: int) -> None:
     """dst += src cyclically shifted by (d1, d2), in four blocks with no copy.
 
@@ -166,7 +157,7 @@ def _class_sizes(n: int) -> np.ndarray:
     never holds all 2^n words (0^n and 10...0 differ in weight) and so
     stays below 2^31, and int64 above.
     """
-    _check_scan_n(n)
+    _check_length(n, "class counting")
     shape = _moduli(n)
     h = _listed_positions(n)
     state = _subset_states(n, range(1, h + 1))
@@ -287,7 +278,7 @@ def codeword_values(p: CodeParams) -> np.ndarray:
     is known before any member array is allocated.
     """
     n = p.n
-    _check_scan_n(n)
+    _check_length(n, "class counting")
     a = n // 2
     b = n - a
     _check_cap(p, "the subset states", _listing_bytes(n, 0))

@@ -10,13 +10,12 @@ from .channel import (
     ErrorEvent,
     Substitution,
     WeightWindowError,
-    _check_ceiling,
     _substitution_witnesses,
     classify_weight_delta,
 )
 from .code import CodeParams, _moduli, matches_value
 from .syndromes import wt_f1_f2
-from .words import Word, flip_bit, insert_bit
+from .words import Word, _check_length, flip_bit, insert_bit
 
 __all__ = [
     "DecodeResult",
@@ -59,7 +58,7 @@ def canonical_witness(x: Word, y: Word) -> ErrorEvent:
     n = x.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit original length {n}")
-    _check_ceiling(n, "canonical_witness")
+    _check_length(n, "canonical_witness")
     _, d, e = _substitution_witnesses(n, np.array([x.value]), np.array([y.value]))  # int64
     if len(d):
         return ErrorEvent(int(d[0]), int(e[0]))
@@ -86,7 +85,7 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
     n = p.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit code length {n}")
-    _check_ceiling(n, "list_decode_brute")
+    _check_length(n, "list_decode_brute")
     examined = 0
     found: set[int] = set()
     for d in range(1, n + 1):

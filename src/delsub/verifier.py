@@ -37,7 +37,7 @@ from .channel import (
 from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
 from .decoder import DecodeResult, ListBoundError, list_decode
 from .syndromes import _mixed_starts, _power_sum, _suffix_weights
-from .words import Word, delete_bit, flip_bit, get_bit
+from .words import Word, _check_length, delete_bit, flip_bit, get_bit
 
 __all__ = [
     "VERIFY_CEILING",
@@ -67,9 +67,7 @@ _CHECK_RANGES = {
 
 
 def _check_n(check: str, n: int) -> None:
-    lo, hi = _CHECK_RANGES[check]
-    if not lo <= n <= hi:
-        raise ValueError(f"the {check} check supports {lo} <= n <= {hi}, got {n}")
+    _check_length(n, f"the {check} check", *_CHECK_RANGES[check])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,20 @@ from dataclasses import dataclass
 
 __all__ = ["Word", "get_bit", "flip_bit", "delete_bit", "insert_bit"]
 
+# The package's one length ceiling.  Class counts are exact int64 up to
+# here: every count, and their total 2^n - 2, stays below 2^63.
+SCAN_CEILING = 62
+
+
+def _check_length(n: int, what: str, lo: int = 2, hi: int = SCAN_CEILING) -> None:
+    """Refuse a length outside [lo, hi].
+
+    The one ceiling guard: class counting, the ball, the witnesses, the
+    verifier's check ranges and the CLI's check and decode all call it.
+    """
+    if not lo <= n <= hi:
+        raise ValueError(f"{what} supports {lo} <= n <= {hi}, got {n}")
+
 
 def get_bit(value: int, n: int, i: int) -> int:
     """Bit at 1-based position i of an n-bit word; position 1 is the MSB."""

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -173,6 +174,26 @@ def test_ball_up_to_the_length_bound(capsys):
     code, out, err = run(capsys, "ball", "--n", str(SCAN_CEILING + 1), "--word", "1" * 63)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, received", [("check", 0), ("decode", 1)])
+def test_check_and_decode_up_to_the_length_bound(capsys, command, received):
+    def argv(n):
+        return [command, "--n", str(n), "--params", "0,0,0", "--word", ("10" * 40)[: n - received]]
+
+    code, out, _ = run(capsys, *argv(SCAN_CEILING))
+    assert code in (0, 1) and out
+    code, out, err = run(capsys, *argv(SCAN_CEILING + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"n <= {SCAN_CEILING}" in err
+
+
+def test_decode_refuses_a_long_word_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decode", "--n", "100001", "--params", "0,0,0", "--word", "10" * 50_000)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 # --- verify --------------------------------------------------------------------

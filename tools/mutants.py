@@ -241,6 +241,24 @@ MUTANTS = (
         "for table in tables[: n // 8]:",
         ("test_syndromes.py::test_summation_orders_agree_exhaustively",),
     ),
+    # --- the length guard (words._check_length) and the CLI refusals
+    Mutant(
+        "cli-check-and-decode-without-the-ceiling",
+        "cli.py",
+        "    _check_length(p.n, args.command)\n",
+        "",
+        ("test_cli.py::test_check_and_decode_up_to_the_length_bound",),
+    ),
+    Mutant(
+        "length-guard-lets-the-ceiling-plus-one-through",
+        "words.py",
+        "if not lo <= n <= hi:",
+        "if not lo <= n <= hi + 1:",
+        (
+            "test_channel.py::test_ball_stops_at_the_scan_ceiling",
+            "test_cli.py::test_check_and_decode_up_to_the_length_bound",
+        ),
+    ),
     # --- class count, listing and sampling (code)
     Mutant(
         "fold-planes-ascending",
