@@ -62,6 +62,9 @@ WEIGHT_DELTA_TABLE: dict[tuple[int, Substitution], int] = {
     (0, Substitution.ZERO_TO_ONE): -1,
 }
 
+# The substitution that flips a symbol, indexed by the symbol.
+_FLIP_OF = (Substitution.ZERO_TO_ONE, Substitution.ONE_TO_ZERO)
+
 # Canonical exactly-one-substitution reading of each possible weight drop:
 # the substitution rows of WEIGHT_DELTA_TABLE, inverted.  Drops 0 and 1
 # also arise from pure deletions, but on any non-constant word those
@@ -86,13 +89,15 @@ def validate_event(n: int, ev: ErrorEvent) -> None:
             )
 
 
+def _corrupted(v: int, n: int, ev: ErrorEvent) -> int:
+    """The n-bit value v with position e flipped (if any), then position d removed."""
+    return delete_bit(v if ev.e is None else flip_bit(v, n, ev.e), n, ev.d)
+
+
 def apply_del_sub(x: Word, ev: ErrorEvent) -> Word:
     """Flip position e (if any), then remove position d; the result has length n-1."""
     validate_event(x.n, ev)
-    v = x.value
-    if ev.e is not None:
-        v = flip_bit(v, x.n, ev.e)
-    return Word(x.n - 1, delete_bit(v, x.n, ev.d))
+    return Word(x.n - 1, _corrupted(x.value, x.n, ev))
 
 
 def iter_events(n: int) -> Iterator[ErrorEvent]:
@@ -109,8 +114,7 @@ def iter_corruptions(x: Word) -> Iterator[tuple[ErrorEvent, Word]]:
     if x.n < 2:
         raise ValueError(f"corruption needs length >= 2, got n={x.n}")
     for ev in iter_events(x.n):
-        v = x.value if ev.e is None else flip_bit(x.value, x.n, ev.e)
-        yield ev, Word(x.n - 1, delete_bit(v, x.n, ev.d))
+        yield ev, Word(x.n - 1, _corrupted(x.value, x.n, ev))
 
 
 def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:

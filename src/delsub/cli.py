@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from .channel import error_ball
 from .code import CodeParams, choose_params, is_codeword
 from .decoder import list_decode
 from .scenarios import replay
-from .verifier import ALL_CHECKS, DEFAULT_CHECKS, full_report, redundancy_table, smoke_report
+from .verifier import ALL_CHECKS, full_report, redundancy_table, smoke_report
 from .words import Word, _check_length
 
 
@@ -93,43 +94,27 @@ def cmd_ball(args: argparse.Namespace) -> int:
     return 0
 
 
+# verify's options whose defaults live in full_report and smoke_report, in the
+# order the smoke conflict message names them; build_parser leaves each unset
+# unless given.
+_LIBRARY_DEFAULTED = ("checks", "max_collisions", "seed", "timing")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.smoke is None:
+    given = {k: getattr(args, k) for k in _LIBRARY_DEFAULTED if k in args}
+    if "seed" in given and args.smoke is None:
         raise ValueError("--seed only applies to the smoke-sampling mode (--smoke)")
     params = CodeParams(args.n, *args.params) if args.params else None
-    if args.smoke is not None:
-        exhaustive_only = [
-            flag
-            for flag, given in (
-                ("--checks", args.checks is not None),
-                ("--max-collisions", args.max_collisions is not None),
-                ("--timing", args.timing),
-            )
-            if given
-        ]
+    if args.smoke is None:
+        doc, passed = full_report(args.n, params, **given)
+    else:
+        exhaustive_only = ["--" + k.replace("_", "-") for k in given if k != "seed"]
         if exhaustive_only:
             raise ValueError(
                 f"{', '.join(exhaustive_only)} cannot be combined with --smoke "
                 "(they apply to the exhaustive checks only)"
             )
-        doc, passed = smoke_report(
-            args.n,
-            params,
-            samples=args.smoke,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    else:
-        if args.checks is None:
-            checks = DEFAULT_CHECKS
-        else:
-            checks = tuple(c for c in args.checks.split(",") if c)
-        doc, passed = full_report(
-            args.n,
-            params,
-            checks=checks,
-            max_collisions=100 if args.max_collisions is None else args.max_collisions,
-            timing=args.timing,
-        )
+        doc, passed = smoke_report(args.n, params, samples=args.smoke, **given)
     _emit(doc, args.format, lambda: [f"{k}={v}" for k, v in doc.items()])
     return 0 if passed else 1
 
@@ -192,14 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
     command(cmd_ball, "list every word one corruption away", "--n", "--word")
     p = command(cmd_verify, "run exhaustive checks against one class", "--n")
     p.add_argument("--params", **_FLAGS["--params"])
-    p.add_argument(
-        "--checks",
-        help=f"comma list from: {','.join(ALL_CHECKS)} (default {','.join(DEFAULT_CHECKS)})",
-    )
-    p.add_argument("--max-collisions", type=int, help="collision records to list (default 100)")
-    p.add_argument("--smoke", type=int, metavar="SAMPLES", help="sampled spot checks instead of exhaustion")
-    p.add_argument("--seed", type=int, help="smoke-mode RNG seed")
-    p.add_argument("--timing", action="store_true", help="include elapsed seconds in the report")
+    # The defaults named in the help text, read through any wrapper of full_report.
+    default = {k: v.default for k, v in inspect.signature(full_report).parameters.items()}
+    for flag, spec in (
+        ("--checks", {
+            "type": lambda text: tuple(c for c in text.split(",") if c),
+            "help": f"comma list from: {','.join(ALL_CHECKS)} (default {','.join(default['checks'])})",
+        }),
+        ("--max-collisions", {
+            "type": int,
+            "help": f"collision records to list (default {default['max_collisions']})",
+        }),
+        ("--smoke", {"type": int, "metavar": "SAMPLES", "help": "sampled spot checks instead of exhaustion"}),
+        ("--seed", {"type": int, "help": "smoke-mode RNG seed"}),
+        ("--timing", {"action": "store_true", "help": "include elapsed seconds in the report"}),
+    ):
+        if flag[2:].replace("-", "_") in _LIBRARY_DEFAULTED:
+            spec["default"] = argparse.SUPPRESS
+        p.add_argument(flag, **spec)
     p = command(cmd_table, "redundancy of the best class per length")
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
     command(cmd_examples, "replay the bundled corruption scenarios")

@@ -18,7 +18,7 @@ import math
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -28,16 +28,19 @@ from .channel import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
+    _FLIP_OF,
     _ball_keys,
+    _corrupted,
     _packed_deletions,
     _substitution_witnesses,
+    apply_del_sub,
     classify_weight_delta,
     iter_events,
 )
 from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
-from .decoder import DecodeResult, ListBoundError, list_decode
+from .decoder import ListBoundError, list_decode
 from .syndromes import _mixed_starts, _power_sum, _suffix_weights
-from .words import Word, _check_length, delete_bit, flip_bit, get_bit
+from .words import Word, _check_length, get_bit
 
 __all__ = [
     "VERIFY_CEILING",
@@ -289,40 +292,28 @@ def verify_weight_deltas(n: int) -> int:
     """Check the weight-drop table and the one-substitution re-expression.
 
     Brute force over every word and every event: the weight drop must
-    match the (deleted symbol, substitution) table row, and for every
-    non-constant word each reachable received word must also be reachable
-    by an event using exactly the symbols the received weight implies.
+    match the table row of the event's kind (deleted symbol, substitution),
+    and for every non-constant word each reachable received word must also
+    be reachable by an event of the kind its received weight implies.
     Returns the number of violations.
     """
     _check_n("table1", n)
+    events = list(iter_events(n))
     violations = 0
     for v in range(1 << n):
         wt_x = v.bit_count()
-        by_y: dict[int, list[ErrorEvent]] = {}
-        for ev in iter_events(n):
-            w = v if ev.e is None else flip_bit(v, n, ev.e)
-            y = delete_bit(w, n, ev.d)
-            if ev.e is None:
-                sub = Substitution.NONE
-            elif get_bit(v, n, ev.e) == 0:
-                sub = Substitution.ZERO_TO_ONE
-            else:
-                sub = Substitution.ONE_TO_ZERO
-            if wt_x - y.bit_count() != WEIGHT_DELTA_TABLE[(get_bit(v, n, ev.d), sub)]:
-                violations += 1
-            by_y.setdefault(y, []).append(ev)
+        kinds: dict[int, set[tuple[int, Substitution]]] = {}  # by received word
+        for ev in events:
+            y = _corrupted(v, n, ev)
+            sub = Substitution.NONE if ev.e is None else _FLIP_OF[get_bit(v, n, ev.e)]
+            kind = (get_bit(v, n, ev.d), sub)
+            violations += wt_x - y.bit_count() != WEIGHT_DELTA_TABLE[kind]
+            kinds.setdefault(y, set()).add(kind)
         if v == 0 or v == (1 << n) - 1:
             continue  # constant words are exempt from the re-expression clause
-        for y, events in by_y.items():
+        for y, seen in kinds.items():
             cls = classify_weight_delta(wt_x & 3, y.bit_count(), n)
-            wanted_from = 0 if cls.substitution is Substitution.ZERO_TO_ONE else 1
-            if not any(
-                ev.e is not None
-                and get_bit(v, n, ev.d) == cls.deleted_value
-                and get_bit(v, n, ev.e) == wanted_from
-                for ev in events
-            ):
-                violations += 1
+            violations += (cls.deleted_value, cls.substitution) not in seen
     return violations
 
 
@@ -409,7 +400,8 @@ def predicted_suffix_profile(
 
 
 def _params_dict(p: CodeParams) -> dict:
-    return {"c0": p.c0, "c1": p.c1, "c2": p.c2}
+    """The residue fields of p, in field order, without its length."""
+    return {k: v for k, v in asdict(p).items() if k != "n"}
 
 
 def _resolve_class(n: int, params: CodeParams | None) -> tuple[CodeParams, bool, int]:
@@ -544,28 +536,22 @@ def smoke_report(
     if size == 0:
         raise ValueError(f"{params} has no members to sample")
     draws = _random_members(params, rng)
-    completeness_failures = bound_failures = 0
-    max_list_seen = 0
-
-    def probe(y: Word) -> DecodeResult | None:
-        nonlocal bound_failures, max_list_seen
-        try:
-            res = list_decode(y, params)
-        except ListBoundError:
-            bound_failures += 1
-            return None
-        max_list_seen = max(max_list_seen, len(res.candidates))
-        return res
-
+    completeness_failures = bound_failures = max_list_seen = 0
     for _ in range(samples):
-        x = next(draws)
+        sent = Word(n, next(draws))
         d = rng.randrange(1, n + 1)
         e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
-        w = x if e is None else flip_bit(x, n, e)
-        res = probe(Word(n - 1, delete_bit(w, n, d)))
-        if res is not None and Word(n, x) not in res.words:
-            completeness_failures += 1
-        probe(Word(n - 1, rng.randrange(0, 1 << (n - 1))))
+        received = apply_del_sub(sent, ErrorEvent(d, e))
+        noise = Word(n - 1, rng.randrange(0, 1 << (n - 1)))
+        # x is the codeword the decode must list, None for the noise word.
+        for y, x in ((received, sent), (noise, None)):
+            try:
+                res = list_decode(y, params)
+            except ListBoundError:
+                bound_failures += 1
+                continue
+            max_list_seen = max(max_list_seen, len(res.candidates))
+            completeness_failures += x is not None and x not in res.words
     passed = completeness_failures == 0 and bound_failures == 0
     report = {
         "mode": "smoke",

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -338,6 +339,26 @@ def test_verify_refuses_vacuous_and_out_of_range_runs(capsys, argv):
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--n", "8", "--checks", "list2,nope")
     assert code == 2 and "unknown checks" in err
+
+
+def test_verify_parser_builds_under_a_wrapped_full_report(monkeypatch, capsys):
+    """A functools.wraps wrapper of full_report, as a call tracer installs, keeps verify's help and run."""
+    import delsub.cli as cli
+
+    real = cli.full_report
+
+    @functools.wraps(real)
+    def traced(*args, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "full_report", traced)
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default list2,lemma2,deletion)" in help_text and "(default 100)" in help_text
+    args = parser.parse_args(["verify", "--n", "8"])
+    assert args.handler(args) == 0
 
 
 # --- table -----------------------------------------------------------------------

@@ -38,7 +38,14 @@ from delsub import (
     verify_weight_deltas,
     vt_syndrome,
 )
-from delsub.channel import _ball_keys, _packed_deletions, _substitution_witnesses
+from delsub.channel import (
+    CANONICAL_CLASS_BY_DELTA,
+    WEIGHT_DELTA_TABLE,
+    Substitution,
+    _ball_keys,
+    _packed_deletions,
+    _substitution_witnesses,
+)
 from delsub.syndromes import _mixed_starts
 from delsub.verifier import (
     _CASES,
@@ -765,6 +772,19 @@ def test_weight_deltas_hold_up_to_n8():
         assert verify_weight_deltas(n) == 0
 
 
+def test_weight_deltas_count_a_broken_table_row(monkeypatch):
+    # Every pure deletion of a 1, n 2^(n-1) of them over all n-bit words, now misses its row.
+    row = (1, Substitution.NONE)
+    monkeypatch.setitem(WEIGHT_DELTA_TABLE, row, WEIGHT_DELTA_TABLE[row] + 1)
+    assert [verify_weight_deltas(n) for n in (4, 6, 8)] == [32, 192, 1024]
+
+
+def test_weight_deltas_count_a_broken_canonical_class(monkeypatch):
+    # A drop of 2 read as deleting a 0: only the re-expression clause can see it.
+    monkeypatch.setitem(CANONICAL_CLASS_BY_DELTA, 2, (0, Substitution.ONE_TO_ZERO))
+    assert [verify_weight_deltas(n) for n in (4, 6, 8)] == [16, 186, 1464]
+
+
 def test_weight_deltas_ceiling():
     with pytest.raises(ValueError):
         verify_weight_deltas(13)
@@ -1058,6 +1078,29 @@ def test_smoke_report_is_deterministic():
     assert c != a or c["seed"] != a["seed"]
     p = CodeParams(30, 1, 2, 3)
     assert smoke_report(30, p, samples=6, seed=5) == smoke_report(30, p, samples=6, seed=5)
+
+
+def test_smoke_report_draws_in_a_fixed_order(monkeypatch):
+    """Each sample draws its member, d, e and noise word in that order.
+
+    The report alone would not show a reordering, since the seeded reports
+    all read max_list_seen = 2, so the decoded words are pinned: per
+    sample, the corrupted member, then the noise word.
+    """
+    import delsub.verifier as verifier
+
+    decoded = []
+    real = verifier.list_decode
+
+    def spy(y, p):
+        decoded.append(str(y))
+        return real(y, p)
+
+    monkeypatch.setattr(verifier, "list_decode", spy)
+    smoke_report(12, samples=3, seed=3)
+    assert decoded == [
+        "01110010000", "11001000011", "10101010100", "10110101010", "01110110010", "10111001010",
+    ]
 
 
 @pytest.mark.parametrize("explicit", [False, True])

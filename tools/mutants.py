@@ -190,6 +190,21 @@ MUTANTS = (
         "if True:",
         ("test_verifier.py::test_class_free_checks_list_nothing",),
     ),
+    # --- weight-drop table (verifier.verify_weight_deltas)
+    Mutant(
+        "table1-drops-the-re-expression-test",
+        "verifier.py",
+        "violations += (cls.deleted_value, cls.substitution) not in seen",
+        "violations += 0",
+        ("test_verifier.py::test_weight_deltas_count_a_broken_canonical_class",),
+    ),
+    Mutant(
+        "table1-without-the-constant-word-exemption",
+        "verifier.py",
+        "        if v == 0 or v == (1 << n) - 1:\n            continue",
+        "",
+        ("test_verifier.py::test_weight_deltas_hold_up_to_n8",),
+    ),
     # --- sign split (syndromes._mixed_starts, verifier._splittable)
     Mutant(
         "split-bisect-right",
