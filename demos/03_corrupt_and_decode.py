@@ -24,18 +24,18 @@ x = code[0]
 print(f"transmitting {x}; its corruption ball holds {len(error_ball(x))} distinct words")
 
 worst = 0
-brute_cost = pruned_cost = 0
+brute_cost = tested = 0
 for event, received in iter_corruptions(x):
     result = list_decode(received, params)
     brute = list_decode_brute(received, params)
-    assert result.candidates == brute.candidates, "pruning must not change the answer"
+    assert result.candidates == brute.candidates, "the fast decoder must not change the answer"
     assert x in result.words, "the transmitted word must always be listed"
     worst = max(worst, len(result.candidates))
-    pruned_cost += result.examined
+    tested += result.examined
     brute_cost += brute.examined
 print(f"decoded all {12 * 12} corruption events; worst list size {worst}")
-print(f"membership tests: brute {brute_cost}, pruned {pruned_cost} "
-      f"({brute_cost / pruned_cost:.1f}x fewer)")
+print(f"brute force ran {brute_cost} membership tests; the syndrome arithmetic "
+      f"tested {tested} deletion positions, one O(1) check each")
 print()
 
 # A two-candidate list in action: find a received word claimed by two codewords.

@@ -222,6 +222,14 @@ def _substitution_witnesses(
     return interval // 2, lo[interval] + 1 + step, e[interval]
 
 
+def _weight_drop(c0, wt_y):
+    """The one drop in {-1, 0, 1, 2} that takes received weight wt_y to c0 mod 4.
+
+    Elementwise on integer arrays, since numpy's % floors as Python's does.
+    """
+    return (c0 - wt_y + 1) % 4 - 1
+
+
 def classify_weight_delta(c0: int, wt_y: int, n: int) -> WeightDeltaClass:
     """Recover the corruption pattern from the received weight.
 
@@ -235,7 +243,7 @@ def classify_weight_delta(c0: int, wt_y: int, n: int) -> WeightDeltaClass:
         raise ValueError(f"weight residue must lie in [0, 4), got {c0}")
     if wt_y < 0:
         raise ValueError(f"received weight must be nonnegative, got {wt_y}")
-    delta = (c0 - wt_y + 1) % 4 - 1  # unique value in {-1, 0, 1, 2}
+    delta = _weight_drop(c0, wt_y)
     wt_x = wt_y + delta
     if not 0 <= wt_x <= n:
         raise WeightWindowError(

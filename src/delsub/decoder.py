@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .channel import (
+    _FLIP_OF,
+    CANONICAL_CLASS_BY_DELTA,
     ErrorEvent,
-    Substitution,
     WeightWindowError,
     _substitution_witnesses,
+    _weight_drop,
     classify_weight_delta,
 )
 from .code import CodeParams, _moduli, matches_value
-from .syndromes import wt_f1_f2
-from .words import Word, _check_length, flip_bit, insert_bit
+from .syndromes import _position_shift
+from .words import SCAN_CEILING, Word, _check_length, flip_bit, insert_bit
 
 __all__ = [
     "DecodeResult",
@@ -30,14 +34,22 @@ class ListBoundError(RuntimeError):
     """More than two codewords cover one received word: the class is broken."""
 
 
-@dataclass(frozen=True)
+# Indexed by weight drop + 1, drop = -1..2: the symbol the deletion removed,
+# which decoding inserts, and the symbol the substitution wrote (the
+# flipped-back symbol), which decoding flips.
+_INSERTED, _FLIPPED_BACK = np.array([
+    (deleted, 1 - _FLIP_OF.index(sub))
+    for _, (deleted, sub) in sorted(CANONICAL_CLASS_BY_DELTA.items())
+]).T
+
+
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     """Candidate codewords (at most two) with canonical witnesses.
 
-    `examined` is the number of membership tests the pruned decoder ran:
-    a count of the work done, not a setting.  It is n times the number of
-    symbols of y equal to the flipped-back symbol, and 0 when the received
-    weight fits no word of the class.
+    `examined` is the number of deletion positions the decoder tested: a
+    count of the work done, not a setting.  It is n, and 0 when the
+    received weight fits no word of the class.
     """
 
     candidates: list[tuple[Word, ErrorEvent]]
@@ -104,41 +116,92 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
     return _collect({v: canonical_witness(Word(n, v), y) for v in found}, y, p, examined)
 
 
-def list_decode(y: Word, p: CodeParams) -> DecodeResult:
-    """Weight-pruned decoder; extensionally equal to list_decode_brute.
+@functools.lru_cache(maxsize=16)
+def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_decode_rows' per-length constants.
 
-    The received weight determines the deleted symbol and the substitution
-    direction, so only one insertion value and one flip direction survive:
-    about a quarter of the brute-force candidates.  Each deletion d walks
-    only the other positions holding the flipped-back symbol, so every
-    candidate has the recovered weight, c0 mod 4, and one syndrome read
-    checks (c1, c2).  Every substitution witness of a candidate carries those
-    symbols, so the search's first hit, at the smallest d, is the canonical one.
+    The shifts that read y's positions q = 1..n-1 (bit n-1-q), in the word
+    dtype (int64 while n-bit words fit it, n <= SCAN_CEILING, Python ints
+    above), and column i of a (3, 2n) table: what a 1 at position i adds to
+    (wt, f1, f2), for i = 0..2n-1, every residue of f1 mod 2n.  Both are
+    read-only, since every caller shares them.
+    """
+    shifts = np.arange(n - 2, -1, -1).astype(np.int64 if n <= SCAN_CEILING else object)
+    steps = np.array([_position_shift(i) for i in range(2 * n)]).T
+    shifts.flags.writeable = steps.flags.writeable = False
+    return shifts, steps
+
+
+def _decode_rows(
+    values: Sequence[int] | np.ndarray, p: CodeParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate of every received (n-1)-bit word in values, by syndrome arithmetic.
+
+    The received weight fixes the symbol b the deletion removed and the
+    symbol the substitution wrote.  Inserting b at d adds W + b*d to f1 and
+    F + W + b*d(d+1)/2 to f2, where W and F are y's weight and sum of
+    1-positions from position d on.  Flipping e back then moves f1 by ±e,
+    so its residue mod 2n names the one possible e (Levenshtein's VT
+    deficiency argument), and the f2 residue accepts or rejects it: O(1)
+    per deletion.  Returns (row, x, d, e) with rows ascending, x ascending
+    within a row and, for each x, the witness with the smallest d, which
+    is its canonical witness.  x has values' dtype: int64 for n <=
+    SCAN_CEILING, Python ints above.
+    """
+    n = p.n
+    _, m1, m2 = _moduli(n)
+    shifts, steps = _kernel_tables(n)
+    _, d, tri = steps[:, 1 : n + 1]  # d = 1..n and d(d+1)/2
+    values = np.asarray(values, dtype=shifts.dtype)
+    bits = ((values[:, None] >> shifts) & 1).astype(np.int64)
+    # sums[:, k, d - 1]: component k of (wt, f1, f2) over y's positions d..n-1.
+    sums = np.zeros((len(values), 3, n), dtype=np.int64)
+    np.cumsum((bits[:, None, :] * steps[:, 1:n])[..., ::-1], axis=2, out=sums[..., -2::-1])
+    w_from, f_from = sums[:, 0], sums[:, 1]
+    drop = _weight_drop(p.c0, w_from[:, 0])
+    weight = w_from[:, 0] + drop  # every candidate's
+    fits = (0 < weight) & (weight < n)  # a constant word is in no class
+    inserted = _INSERTED[drop + 1][:, None]
+    back = _FLIPPED_BACK[drop + 1][:, None]
+    sign = 2 * back - 1  # flipping position e back moves f1 by -sign * e
+    f1 = f_from[:, :1] + w_from + inserted * d
+    f2 = sums[:, 2, :1] + f_from + w_from + inserted * tri
+    e = sign * (f1 - p.c1) % m1
+    # The base word's symbol at e != d is y's at e before d and at e - 1 after
+    # it; column 0 and columns n.. of `symbols` hold 2, which matches no
+    # symbol, so an e outside 1..n never hits.
+    symbols = np.full((len(values), 2 * n), 2, dtype=np.int64)
+    symbols[:, 1:n] = bits
+    at_e = symbols.ravel()[e - (e > d) + 2 * n * np.arange(len(values))[:, None]]
+    hit = fits[:, None] & (at_e == back)
+    hit &= e != d
+    hit &= (f2 - sign * steps[2, e] - p.c2) % m2 == 0
+    row, col = np.nonzero(hit)
+    d, e = col + 1, e[row, col]
+    word = shifts.dtype
+    x = insert_bit(values[row], n - 1, d.astype(word), inserted[row, 0].astype(word))
+    x ^= 1 << (n - e).astype(word)
+    order = np.lexsort((d, x, row))
+    row, x, d, e = row[order], x[order], d[order], e[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1])
+    return row[first], x[first], d[first], e[first]
+
+
+def list_decode(y: Word, p: CodeParams) -> DecodeResult:
+    """Syndrome-arithmetic decoder; extensionally equal to list_decode_brute.
+
+    _decode_rows on the one row.  `examined` counts the deletions tested:
+    n when the received weight fits a word of the class, else 0.  Takes
+    any length.
     """
     n = p.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit code length {n}")
     try:
-        cls = classify_weight_delta(p.c0, y.weight, n)
+        classify_weight_delta(p.c0, y.weight, n)
     except WeightWindowError:
         return DecodeResult([], 0)
-    inserted = cls.deleted_value
-    # The substitution happened on the way out; decoding flips it back.
-    flip_from = 1 if cls.substitution is Substitution.ZERO_TO_ONE else 0
-    full = (1 << n) - 1
-    _, m1, m2 = _moduli(n)
-    examined = 0
-    found: dict[int, ErrorEvent] = {}
-    for d in range(1, n + 1):
-        base = insert_bit(y.value, n - 1, d, inserted)
-        flips = (base if flip_from else full ^ base) & ~(1 << (n - d))
-        examined += flips.bit_count()
-        while flips:
-            bit = flips & -flips
-            flips ^= bit
-            cand = base ^ bit
-            _, f1, f2 = wt_f1_f2(cand, n)
-            if f1 % m1 == p.c1 and f2 % m2 == p.c2 and 0 < cand < full:
-                e = n + 1 - bit.bit_length()
-                found.setdefault(cand, ErrorEvent(d, e))
-    return _collect(found, y, p, examined)
+    _, x, d, e = _decode_rows([y.value], p)
+    found = {v: ErrorEvent(*ev) for v, *ev in zip(x.tolist(), d.tolist(), e.tolist())}
+    return _collect(found, y, p, n)

@@ -46,7 +46,8 @@ def wt_f1_f2(value: int, n: int) -> tuple[int, int, int]:
     """Exact (weight, f1, f2) of a packed n-bit value; ValueError outside [0, 2^n) or for n < 1.
 
     f1 sums the positions of the 1-bits, f2 sums i(i+1)/2 over those
-    positions.  Every hot loop funnels through here: one table read per byte.
+    positions.  Membership (matches_value, is_codeword) reads it: one table
+    read per byte.
     """
     if n < 1 or value >> n:
         raise ValueError(f"need n >= 1 and 0 <= value < 2^n, got value {value}, n {n}")

@@ -43,7 +43,7 @@ def insert_bit(value: int, n: int, d: int, bit: int) -> int:
     return ((value >> low) << (low + 1)) | (bit << low) | (value & ((1 << low) - 1))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """Binary word of fixed length n; the textual form reads position 1 first."""
 

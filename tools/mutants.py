@@ -132,34 +132,41 @@ MUTANTS = (
         "a2 = n - _bit_length(a)",
         ("test_verifier.py::test_substitution_witnesses_match_all_witnesses_on_every_ball",),
     ),
+    # --- the syndrome-arithmetic kernel (decoder._decode_rows)
     Mutant(
-        "decoder-keeps-the-last-hit",
+        "decoder-kernel-drops-the-f2-test",
         "decoder.py",
-        "found.setdefault(cand, ErrorEvent(d, e))",
-        "found[cand] = ErrorEvent(d, e)",
-        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
-    ),
-    # --- the pruned search (decoder.list_decode)
-    Mutant(
-        "decoder-walk-keeps-position-d",
-        "decoder.py",
-        " & ~(1 << (n - d))",
+        "    hit &= (f2 - sign * steps[2, e] - p.c2) % m2 == 0\n",
         "",
-        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
+        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
     ),
     Mutant(
-        "decoder-walk-reads-the-other-symbol",
+        "decoder-kernel-flips-position-d",
         "decoder.py",
-        "(base if flip_from else full ^ base)",
-        "(full ^ base if flip_from else base)",
-        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
-    ),
-    Mutant(
-        "decoder-keeps-the-constant-words",
-        "decoder.py",
-        " and 0 < cand < full",
+        "    hit &= e != d\n",
         "",
+        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-keeps-the-last-d",
+        "decoder.py",
+        "np.lexsort((d, x, row))",
+        "np.lexsort((-d, x, row))",
+        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-keeps-the-constant-words",
+        "decoder.py",
+        "fits = (0 < weight) & (weight < n)",
+        "fits = (0 <= weight) & (weight <= n)",
         ("test_decoder.py::test_decoders_refuse_the_constant_words",),
+    ),
+    Mutant(
+        "decoder-kernel-f1-without-the-suffix-weight",
+        "decoder.py",
+        "f1 = f_from[:, :1] + w_from + inserted * d",
+        "f1 = f_from[:, :1] + inserted * d",
+        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
     ),
     # --- collisions and lemma2 (verifier)
     Mutant(
