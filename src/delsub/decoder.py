@@ -12,10 +12,8 @@ from .channel import (
     _FLIP_OF,
     CANONICAL_CLASS_BY_DELTA,
     ErrorEvent,
-    WeightWindowError,
     _substitution_witnesses,
     _weight_drop,
-    classify_weight_delta,
 )
 from .code import CodeParams, _moduli, matches_value
 from .syndromes import _position_shift
@@ -34,13 +32,13 @@ class ListBoundError(RuntimeError):
     """More than two codewords cover one received word: the class is broken."""
 
 
-# Indexed by weight drop + 1, drop = -1..2: the symbol the deletion removed,
-# which decoding inserts, and the symbol the substitution wrote (the
-# flipped-back symbol), which decoding flips.
-_INSERTED, _FLIPPED_BACK = np.array([
-    (deleted, 1 - _FLIP_OF.index(sub))
-    for _, (deleted, sub) in sorted(CANONICAL_CLASS_BY_DELTA.items())
-]).T
+# Per weight drop, -1..2: the symbol the deletion removed, which decoding
+# inserts, and the symbol the substitution wrote (the flipped-back symbol),
+# which decoding flips.
+_SYMBOLS = {
+    drop: (deleted, 1 - _FLIP_OF.index(sub))
+    for drop, (deleted, sub) in sorted(CANONICAL_CLASS_BY_DELTA.items())
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +46,8 @@ class DecodeResult:
     """Candidate codewords (at most two) with canonical witnesses.
 
     `examined` is the number of deletion positions the decoder tested: a
-    count of the work done, not a setting.  It is n, and 0 when the
-    received weight fits no word of the class.
+    count of the work done, not a setting.  It is n, and 0 when no n-bit
+    word has the weight the received weight's drop recovers.
     """
 
     candidates: list[tuple[Word, ErrorEvent]]
@@ -118,7 +116,7 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
 
 @functools.lru_cache(maxsize=16)
 def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_decode_rows' per-length constants.
+    """The kernel's per-length constants.
 
     The shifts that read y's positions q = 1..n-1 (bit n-1-q), in the word
     dtype (int64 while n-bit words fit it, n <= SCAN_CEILING, Python ints
@@ -132,55 +130,73 @@ def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return shifts, steps
 
 
-def _decode_rows(
-    values: Sequence[int] | np.ndarray, p: CodeParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every candidate of every received (n-1)-bit word in values, by syndrome arithmetic.
+def _fits(weight, n):
+    """Whether a candidate weight is a class member's: no class holds a constant word.
 
-    The received weight fixes the symbol b the deletion removed and the
-    symbol the substitution wrote.  Inserting b at d adds W + b*d to f1 and
-    F + W + b*d(d+1)/2 to f2, where W and F are y's weight and sum of
-    1-positions from position d on.  Flipping e back then moves f1 by ±e,
-    so its residue mod 2n names the one possible e (Levenshtein's VT
-    deficiency argument), and the f2 residue accepts or rejects it: O(1)
-    per deletion.  Returns (row, x, d, e) with rows ascending, x ascending
-    within a row and, for each x, the witness with the smallest d, which
-    is its canonical witness.  x has values' dtype: int64 for n <=
-    SCAN_CEILING, Python ints above.
+    Elementwise on integer arrays, like channel._weight_drop.
+    """
+    return (0 < weight) & (weight < n)
+
+
+def _bit_rows(values: Sequence[int] | np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """values in the word dtype, and their (n-1)-bit rows of symbols as int64."""
+    shifts, _ = _kernel_tables(n)
+    values = np.asarray(values, dtype=shifts.dtype)
+    return values, ((values[:, None] >> shifts) & 1).astype(np.int64)
+
+
+def _decode_class(
+    values: np.ndarray, bits: np.ndarray, p: CodeParams, drop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row, x, d, e) hit of received words that share one weight drop and fit.
+
+    The drop fixes the symbol b the deletion removed and the symbol the
+    substitution wrote.  Inserting b at d adds W + b*d to f1 and F + W +
+    b*d(d+1)/2 to f2, where W and F are y's weight and sum of 1-positions
+    from position d on.  Flipping e back then moves f1 by -e when it flips
+    a 1 and by +e when it flips a 0, so the f1 residue mod 2n names the one
+    possible e (Levenshtein's VT deficiency argument), and the f2 residue
+    accepts or rejects it: O(1) per deletion.  Hits come by row, then by
+    d; one x may hit at several d.
     """
     n = p.n
     _, m1, m2 = _moduli(n)
     shifts, steps = _kernel_tables(n)
     _, d, tri = steps[:, 1 : n + 1]  # d = 1..n and d(d+1)/2
-    values = np.asarray(values, dtype=shifts.dtype)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.int64)
+    inserted, back = _SYMBOLS[drop]
     # sums[:, k, d - 1]: component k of (wt, f1, f2) over y's positions d..n-1.
     sums = np.zeros((len(values), 3, n), dtype=np.int64)
     np.cumsum((bits[:, None, :] * steps[:, 1:n])[..., ::-1], axis=2, out=sums[..., -2::-1])
     w_from, f_from = sums[:, 0], sums[:, 1]
-    drop = _weight_drop(p.c0, w_from[:, 0])
-    weight = w_from[:, 0] + drop  # every candidate's
-    fits = (0 < weight) & (weight < n)  # a constant word is in no class
-    inserted = _INSERTED[drop + 1][:, None]
-    back = _FLIPPED_BACK[drop + 1][:, None]
-    sign = 2 * back - 1  # flipping position e back moves f1 by -sign * e
-    f1 = f_from[:, :1] + w_from + inserted * d
-    f2 = sums[:, 2, :1] + f_from + w_from + inserted * tri
-    e = sign * (f1 - p.c1) % m1
+    f1 = f_from[:, :1] + w_from - p.c1
+    f2 = sums[:, 2, :1] + f_from + w_from - p.c2
+    if inserted:
+        f1 += d
+        f2 += tri
+    e = (f1 if back else -f1) % m1
     # The base word's symbol at e != d is y's at e before d and at e - 1 after
     # it; column 0 and columns n.. of `symbols` hold 2, which matches no
     # symbol, so an e outside 1..n never hits.
     symbols = np.full((len(values), 2 * n), 2, dtype=np.int64)
     symbols[:, 1:n] = bits
-    at_e = symbols.ravel()[e - (e > d) + 2 * n * np.arange(len(values))[:, None]]
-    hit = fits[:, None] & (at_e == back)
+    hit = symbols.ravel()[e - (e > d) + 2 * n * np.arange(len(values))[:, None]] == back
     hit &= e != d
-    hit &= (f2 - sign * steps[2, e] - p.c2) % m2 == 0
+    hit &= (f2 - steps[2, e] if back else f2 + steps[2, e]) % m2 == 0
     row, col = np.nonzero(hit)
     d, e = col + 1, e[row, col]
     word = shifts.dtype
-    x = insert_bit(values[row], n - 1, d.astype(word), inserted[row, 0].astype(word))
+    x = insert_bit(values[row], n - 1, d.astype(word), inserted)
     x ^= 1 << (n - e).astype(word)
+    return row, x, d, e
+
+
+def _first_hits(
+    row: np.ndarray, x: np.ndarray, d: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The hits by row and ascending x, each (row, x) once with its smallest d.
+
+    That d's (d, e) is x's canonical witness.
+    """
     order = np.lexsort((d, x, row))
     row, x, d, e = row[order], x[order], d[order], e[order]
     first = np.ones(len(row), dtype=bool)
@@ -188,20 +204,44 @@ def _decode_rows(
     return row[first], x[first], d[first], e[first]
 
 
+def _decode_rows(
+    values: Sequence[int] | np.ndarray, p: CodeParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate of every received (n-1)-bit word in values, by syndrome arithmetic.
+
+    Groups the words whose candidates' weight fits by weight drop and runs
+    _decode_class once per drop.  Returns (row, x, d, e) with rows
+    ascending, x ascending within a row and, for each x, its canonical
+    witness.  x has values' dtype: int64 for n <= SCAN_CEILING, Python
+    ints above.
+    """
+    values, bits = _bit_rows(values, p.n)
+    weight = bits.sum(axis=1)
+    drop = _weight_drop(p.c0, weight)
+    fits = _fits(weight + drop, p.n)
+    hits = []
+    for k in _SYMBOLS:
+        rows = np.flatnonzero(fits & (drop == k))
+        row, *rest = _decode_class(values[rows], bits[rows], p, k)
+        hits.append((rows[row], *rest))
+    return _first_hits(*map(np.concatenate, zip(*hits)))
+
+
 def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     """Syndrome-arithmetic decoder; extensionally equal to list_decode_brute.
 
-    _decode_rows on the one row.  `examined` counts the deletions tested:
-    n when the received weight fits a word of the class, else 0.  Takes
-    any length.
+    _decode_class on the one row, in the class its weight drop names.
+    `examined` counts the deletions tested: n when some n-bit word has
+    the recovered weight, else 0.  Takes any length.
     """
     n = p.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit code length {n}")
-    try:
-        classify_weight_delta(p.c0, y.weight, n)
-    except WeightWindowError:
-        return DecodeResult([], 0)
-    _, x, d, e = _decode_rows([y.value], p)
+    drop = _weight_drop(p.c0, y.weight)
+    weight = y.weight + drop
+    if not _fits(weight, n):
+        # Weight 0 or n is a constant word's, which no class holds: all n deletions miss.
+        return DecodeResult([], n if 0 <= weight <= n else 0)
+    _, x, d, e = _first_hits(*_decode_class(*_bit_rows([y.value], n), p, drop))
     found = {v: ErrorEvent(*ev) for v, *ev in zip(x.tolist(), d.tolist(), e.tolist())}
     return _collect(found, y, p, n)

@@ -340,6 +340,18 @@ def test_decode_rows_batch_equals_one_row_decodes():
             assert got == list_decode(Word(n - 1, yv), p).candidates, (p, yv)
 
 
+@pytest.mark.parametrize("n", [24, SCAN_CEILING + 8])
+def test_decode_rows_of_no_fitting_word_are_empty(n):
+    """An empty batch, and a batch whose only candidate would be the
+    constant 1^n, give four empty arrays, x in the word dtype."""
+    p = params_of(Word.ones(n))  # y of weight n - 2 or n - 1 recovers weight n: 1^n only
+    word = np.int64 if n <= SCAN_CEILING else object
+    for ys in ([], [(1 << (n - 1)) - 1 - (1 << k) for k in range(n - 1)] + [(1 << (n - 1)) - 1]):
+        row, x, d, e = decoder_module._decode_rows(ys, p)
+        assert len(row) == len(x) == len(d) == len(e) == 0
+        assert x.dtype == word, (n, ys)
+
+
 @given(wide_received(min_n=SCAN_CEILING + 1, max_n=200))
 @settings(max_examples=40, deadline=None)
 def test_decode_past_int64_on_python_ints(case):
@@ -417,3 +429,15 @@ def test_more_than_two_matches_is_fatal(monkeypatch):
     monkeypatch.setattr(decoder_module, "matches_value", lambda p, v: True)
     with pytest.raises(ListBoundError):
         list_decode_brute(W("0101"), CodeParams(5, 0, 0, 0))
+
+
+def test_list_decode_refuses_a_third_candidate(monkeypatch):
+    """_collect's bound holds on list_decode's own path: a kernel that
+    lists three candidates raises ListBoundError."""
+    def three_hits(values, bits, p, drop):
+        return (np.zeros(3, dtype=np.intp), np.array([X1.value, XP1.value, 5], dtype=np.int64),
+                np.array([6, 1, 2]), np.array([8, 3, 4]))
+
+    monkeypatch.setattr(decoder_module, "_decode_class", three_hits)
+    with pytest.raises(ListBoundError, match="3 codewords"):
+        list_decode(Y1, P1)

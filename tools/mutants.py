@@ -132,11 +132,11 @@ MUTANTS = (
         "a2 = n - _bit_length(a)",
         ("test_verifier.py::test_substitution_witnesses_match_all_witnesses_on_every_ball",),
     ),
-    # --- the syndrome-arithmetic kernel (decoder._decode_rows)
+    # --- the syndrome-arithmetic kernel (decoder._decode_class, decoder._decode_rows)
     Mutant(
         "decoder-kernel-drops-the-f2-test",
         "decoder.py",
-        "    hit &= (f2 - sign * steps[2, e] - p.c2) % m2 == 0\n",
+        "    hit &= (f2 - steps[2, e] if back else f2 + steps[2, e]) % m2 == 0\n",
         "",
         ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
     ),
@@ -157,16 +157,30 @@ MUTANTS = (
     Mutant(
         "decoder-kernel-keeps-the-constant-words",
         "decoder.py",
-        "fits = (0 < weight) & (weight < n)",
-        "fits = (0 <= weight) & (weight <= n)",
+        "return (0 < weight) & (weight < n)",
+        "return (0 <= weight) & (weight <= n)",
         ("test_decoder.py::test_decoders_refuse_the_constant_words",),
     ),
     Mutant(
         "decoder-kernel-f1-without-the-suffix-weight",
         "decoder.py",
-        "f1 = f_from[:, :1] + w_from + inserted * d",
-        "f1 = f_from[:, :1] + inserted * d",
+        "f1 = f_from[:, :1] + w_from - p.c1",
+        "f1 = f_from[:, :1] - p.c1",
         ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-ignores-the-flip-sign",
+        "decoder.py",
+        "e = (f1 if back else -f1) % m1",
+        "e = f1 % m1",
+        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-rows-merge-without-row-order",
+        "decoder.py",
+        "np.lexsort((d, x, row))",
+        "np.lexsort((d, x))",
+        ("test_decoder.py::test_decode_rows_batch_equals_one_row_decodes",),
     ),
     # --- collisions and lemma2 (verifier)
     Mutant(
