@@ -42,7 +42,6 @@ from .code import (
 from .decoder import (
     DecodeResult,
     ListBoundError,
-    canonical_witness,
     list_decode,
     list_decode_brute,
 )

@@ -12,7 +12,6 @@ from .channel import (
     _FLIP_OF,
     CANONICAL_CLASS_BY_DELTA,
     ErrorEvent,
-    _substitution_witnesses,
     _weight_drop,
 )
 from .code import CodeParams, _moduli, matches_value
@@ -22,7 +21,6 @@ from .words import SCAN_CEILING, Word, _check_length, flip_bit, insert_bit
 __all__ = [
     "DecodeResult",
     "ListBoundError",
-    "canonical_witness",
     "list_decode_brute",
     "list_decode",
 ]
@@ -46,8 +44,9 @@ class DecodeResult:
     """Candidate codewords (at most two) with canonical witnesses.
 
     `examined` is the number of deletion positions the decoder tested: a
-    count of the work done, not a setting.  It is n, and 0 when no n-bit
-    word has the weight the received weight's drop recovers.
+    count of the work done, not a setting.  It is n when the weight the
+    received weight's drop recovers is a non-constant word's, and 0
+    otherwise, where no kernel runs.
     """
 
     candidates: list[tuple[Word, ErrorEvent]]
@@ -56,25 +55,6 @@ class DecodeResult:
     @property
     def words(self) -> list[Word]:
         return [w for w, _ in self.candidates]
-
-
-def canonical_witness(x: Word, y: Word) -> ErrorEvent:
-    """Deterministic witness: smallest (d, e) with a substitution when one exists.
-
-    The first of channel._substitution_witnesses on the one pair: every
-    non-constant word that reaches y has one, while a constant word reaches
-    its own deletion only by pure deletions, the first at d = 1.
-    """
-    n = x.n
-    if y.n != n - 1:
-        raise ValueError(f"received length {y.n} does not fit original length {n}")
-    _check_length(n, "canonical_witness")
-    _, d, e = _substitution_witnesses(n, np.array([x.value]), np.array([y.value]))  # int64
-    if len(d):
-        return ErrorEvent(int(d[0]), int(e[0]))
-    if x.value in (0, (1 << n) - 1) and y.value == x.value >> 1:
-        return ErrorEvent(1, None)
-    raise ValueError(f"{y} is not reachable from {x}")
 
 
 def _collect(found: dict[int, ErrorEvent], y: Word, p: CodeParams, examined: int) -> DecodeResult:
@@ -89,29 +69,35 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
     """Definitional decoder: insert one bit anywhere, flip at most one other, filter.
 
     Candidates number 2n^2; membership filtering keeps exactly the
-    codewords whose corruption ball contains y.  Like canonical_witness,
-    which names each candidate's witness, it stops at SCAN_CEILING.
+    codewords whose corruption ball contains y.  Each keeps the first
+    substitution event of the ascending (d, e) loop that produced it: for
+    one d at most one e maps a word to y, so that is its canonical
+    witness.  Stops at SCAN_CEILING.
     """
     n = p.n
     if y.n != n - 1:
         raise ValueError(f"received length {y.n} does not fit code length {n}")
     _check_length(n, "list_decode_brute")
     examined = 0
-    found: set[int] = set()
+    found: dict[int, ErrorEvent] = {}
+    deleted: set[int] = set()
     for d in range(1, n + 1):
         for b in (0, 1):
             base = insert_bit(y.value, n - 1, d, b)
             examined += 1
             if matches_value(p, base):
-                found.add(base)
+                deleted.add(base)
             for e in range(1, n + 1):
                 if e == d:
                     continue
                 cand = flip_bit(base, n, e)
                 examined += 1
                 if matches_value(p, cand):
-                    found.add(cand)
-    return _collect({v: canonical_witness(Word(n, v), y) for v in found}, y, p, examined)
+                    found.setdefault(cand, ErrorEvent(d, e))
+    # Only a constant word reaches y by pure deletions alone, and no class holds one.
+    if not deleted <= found.keys():
+        raise RuntimeError(f"members {sorted(deleted - found.keys())} reach {y} only by deletion")
+    return _collect(found, y, p, examined)
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,8 +217,8 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     """Syndrome-arithmetic decoder; extensionally equal to list_decode_brute.
 
     _decode_class on the one row, in the class its weight drop names.
-    `examined` counts the deletions tested: n when some n-bit word has
-    the recovered weight, else 0.  Takes any length.
+    `examined` counts the deletions tested: n when the recovered weight
+    is a non-constant word's, else 0.  Takes any length.
     """
     n = p.n
     if y.n != n - 1:
@@ -240,8 +226,8 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     drop = _weight_drop(p.c0, y.weight)
     weight = y.weight + drop
     if not _fits(weight, n):
-        # Weight 0 or n is a constant word's, which no class holds: all n deletions miss.
-        return DecodeResult([], n if 0 <= weight <= n else 0)
+        # Weight 0 or n is a constant word's, which no class holds: no deletion is tested.
+        return DecodeResult([], 0)
     _, x, d, e = _first_hits(*_decode_class(*_bit_rows([y.value], n), p, drop))
     found = {v: ErrorEvent(*ev) for v, *ev in zip(x.tolist(), d.tolist(), e.tolist())}
     return _collect(found, y, p, n)

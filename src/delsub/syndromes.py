@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 from .words import Word, get_bit
@@ -24,39 +23,23 @@ def _position_shift(i: int) -> tuple[int, int, int]:
     return 1, i, i * (i + 1) // 2
 
 
-@functools.lru_cache(maxsize=16)
-def _byte_tables(n: int) -> tuple[int, int, int, int, list[list[int]]]:
-    """Per-byte (wt, f1, f2) tables of n-bit values, with their field shifts and masks.
-
-    Entry b of table c packs the triple of byte value b at bits 8c..8c+7 (bit
-    q is position n - q) as wt | f1 << s1 | f2 << s2: wt <= n and f1 <=
-    n(n+1)/2 fit their fields, so sums of entries never carry.  Each table
-    doubles over its positions' shifts, as _subset_states does.
-    """
-    s1 = n.bit_length()
-    s2 = s1 + (n * (n + 1) // 2).bit_length()
-    tables = [[0] for _ in range(0, n, 8)]
-    for q in range(n):
-        wt, f1, f2 = _position_shift(n - q)
-        tables[q // 8] += [t + (wt | f1 << s1 | f2 << s2) for t in tables[q // 8]]
-    return s1, s2, (1 << s1) - 1, (1 << (s2 - s1)) - 1, tables
-
-
 def wt_f1_f2(value: int, n: int) -> tuple[int, int, int]:
     """Exact (weight, f1, f2) of a packed n-bit value; ValueError outside [0, 2^n) or for n < 1.
 
     f1 sums the positions of the 1-bits, f2 sums i(i+1)/2 over those
-    positions.  Membership (matches_value, is_codeword) reads it: one table
-    read per byte.
+    positions.  Membership (matches_value, is_codeword) reads it: one
+    _position_shift per 1-bit, from the top bit (position 1) down.
     """
     if n < 1 or value >> n:
         raise ValueError(f"need n >= 1 and 0 <= value < 2^n, got value {value}, n {n}")
-    s1, s2, m1, m2, tables = _byte_tables(n)
-    total = 0
-    for table in tables:
-        total += table[value & 255]
-        value >>= 8
-    return total & m1, total >> s1 & m2, total >> s2
+    value = int(value)  # numpy integers too, which have no bit_length
+    wt = f1 = f2 = 0
+    while value:
+        top = value.bit_length()
+        dw, d1, d2 = _position_shift(n + 1 - top)
+        wt, f1, f2 = wt + dw, f1 + d1, f2 + d2
+        value ^= 1 << (top - 1)
+    return wt, f1, f2
 
 
 def vt_syndrome(x: Word, j: int) -> int:

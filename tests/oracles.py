@@ -3,7 +3,8 @@
 delsub computes both facts on numpy arrays (channel._ball_keys and
 channel._substitution_witnesses); these are the same formulas on Python
 ints, exact at any length, and the tests check them in turn against the
-definitions (iter_corruptions, and deleting at every d).
+definitions (iter_corruptions, and deleting at every d).  canonical_witness
+names the one witness the decoders and the verifier's records report.
 """
 
 from delsub import ErrorEvent, Word, delete_bit
@@ -60,3 +61,17 @@ def all_witnesses(x: Word, y: Word) -> list[ErrorEvent]:
         + [ErrorEvent(d, a1) for d in range(max(a1, b1) + 1, a2 + 1)]
         + [ErrorEvent(d, None) for d in range(b1 + 1, a1 + 1)]
     )
+
+
+def canonical_witness(x: Word, y: Word) -> ErrorEvent:
+    """Deterministic witness: smallest (d, e) with a substitution when one exists.
+
+    The first of all_witnesses, which lists the substitutions first, by
+    ascending d: every non-constant word that reaches y has one, while a
+    constant word reaches its own deletion only by pure deletions, the
+    first at d = 1.
+    """
+    witnesses = all_witnesses(x, y)
+    if not witnesses:
+        raise ValueError(f"{y} is not reachable from {x}")
+    return witnesses[0]

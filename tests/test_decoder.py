@@ -13,7 +13,6 @@ from delsub import (
     WeightWindowError,
     Word,
     apply_del_sub,
-    canonical_witness,
     choose_params,
     classify_weight_delta,
     codeword_values,
@@ -25,7 +24,7 @@ from delsub import (
     params_of,
     vt_syndrome,
 )
-from oracles import all_witnesses
+from oracles import all_witnesses, canonical_witness
 
 W = Word.from_text
 
@@ -121,7 +120,7 @@ def test_canonical_witness_is_the_first_witness_on_every_reachable_pair():
         for xv in range(1 << n):
             x = Word(n, xv)
             for y in error_ball(x):
-                assert canonical_witness(x, y) == all_witnesses(x, y)[0], (x, y)
+                assert canonical_witness(x, y) == _witnesses_by_definition(x, y)[0], (x, y)
     assert canonical_witness(Word.ones(5), Word.ones(4)) == ErrorEvent(1, None)
     with pytest.raises(ValueError, match="does not fit"):
         canonical_witness(W("0000"), W("00"))
@@ -270,7 +269,8 @@ def test_two_candidate_results_interleave_their_witnesses():
 def test_search_witnesses_are_canonical_on_every_class():
     """The decoder lists what brute force lists, its witness on each
     candidate is the canonical one, and it tests each of the n deletion
-    positions once when the received weight fits the class."""
+    positions once exactly when the recovered weight is a non-constant
+    word's, 0 < weight < n."""
     for n in range(2, 8):
         classes = {params_of(Word(n, v)) for v in range(1, (1 << n) - 1)}
         for p in sorted(classes, key=lambda p: p.bucket_index):
@@ -282,11 +282,10 @@ def test_search_witnesses_are_canonical_on_every_class():
                     assert ev == canonical_witness(w, y), (p, y, w)
                     assert apply_del_sub(w, ev) == y
                 try:
-                    classify_weight_delta(p.c0, y.weight, n)
+                    weight = y.weight + classify_weight_delta(p.c0, y.weight, n).delta
                 except WeightWindowError:
-                    assert got.examined == 0, (p, y)
-                    continue
-                assert got.examined == n, (p, y)
+                    weight = 0  # no n-bit word has it, so no class member either
+                assert got.examined == (n if 0 < weight < n else 0), (p, y)
 
 
 def _kernel_candidates(p, ys):
@@ -370,11 +369,17 @@ def test_list_decode_takes_its_witnesses_from_the_search(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("list_decode called a closed-form witness")
 
-    monkeypatch.setattr(decoder_module, "canonical_witness", forbidden)
-    monkeypatch.setattr(decoder_module, "_substitution_witnesses", forbidden)
     monkeypatch.setattr(channel_module, "_substitution_witnesses", forbidden)
     result = list_decode(Y1, P1)
     assert result.candidates == [(X1, ErrorEvent(6, 8))]
+
+
+def test_brute_decoder_refuses_a_member_reached_only_by_deletion(monkeypatch):
+    """A membership test that admitted the constant 0^n would make it a
+    candidate with no substitution witness: refused, not dropped."""
+    monkeypatch.setattr(decoder_module, "matches_value", lambda p, value: value == 0)
+    with pytest.raises(RuntimeError, match="only by deletion"):
+        list_decode_brute(Word.zeros(5), params_of(W("010011")))
 
 
 def test_decode_a_corrupted_numpy_member():
@@ -397,8 +402,6 @@ def test_closed_form_witnesses_stop_at_the_scan_ceiling(monkeypatch):
     n = SCAN_CEILING + 1
     x = W("10" * (n // 2) + "1")
     y = apply_del_sub(x, ErrorEvent(3, 7))
-    with pytest.raises(ValueError, match=f"n <= {SCAN_CEILING}"):
-        canonical_witness(x, y)
 
     def forbidden(*args, **kwargs):
         pytest.fail("list_decode_brute searched past the ceiling")

@@ -1,7 +1,9 @@
 """Every module's public names exist and are re-exported by the package."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,33 @@ def test_all_names_exist_and_are_reexported(module):
         assert getattr(delsub, name, None) is getattr(module, name), (
             f"delsub does not re-export {module.__name__}.{name}"
         )
+
+
+def _bench_worker_names() -> set[tuple[str, str]]:
+    """(module, name) of each delsub.<module>.<name> chain and from-import in bench/worker.py.
+
+    Read from the syntax tree, so the tracer's span names, which are
+    strings such as "decoder.list_decode", stay out.
+    """
+    worker = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+    names = set()
+    for node in ast.walk(ast.parse(worker.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("delsub."):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "delsub"
+        ):
+            names.add((f"delsub.{node.value.attr}", node.attr))
+    return names
+
+
+def test_every_name_the_bench_worker_reads_resolves():
+    """The benchmark runs the library through bench/worker.py: a name moved
+    or renamed in delsub must not break it."""
+    names = _bench_worker_names()
+    assert ("delsub.decoder", "list_decode_brute") in names  # its decode check
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(module), name), f"bench/worker.py reads {module}.{name}"

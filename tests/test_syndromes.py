@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,7 +55,7 @@ def test_vt_syndrome_known_values():
 
 
 def test_summation_orders_agree_exhaustively():
-    """Every word to n = 12, so every partial top byte of wt_f1_f2's tables too."""
+    """Every word to n = 12, so every position of wt_f1_f2's bit walk at each length too."""
     for n in range(1, 13):
         for v in range(1 << n):
             w = Word(n, v)
@@ -71,7 +72,7 @@ def test_summation_orders_agree_property(w, j):
 
 
 def _table_edge_examples(test):
-    """All-ones and alternating words at the byte-table and field-width edges."""
+    """All-ones and alternating words at byte and machine-word lengths and one off them."""
     for n in (7, 8, 9, 62, 63, 64, 255, 256, 257):
         for v in ((1 << n) - 1, int(("10" * n)[:n], 2), int(("01" * n)[:n], 2)):
             test = example(Word(n, v))(test)
@@ -85,6 +86,12 @@ def test_wt_f1_f2_matches_reference_routes(w):
     assert wt == w.weight
     assert f1 == vt_syndrome(w, 1)
     assert f2 == vt_syndrome(w, 2)
+
+
+def test_wt_f1_f2_takes_numpy_integers():
+    """Listings come as numpy arrays: their elements read as Python ints do."""
+    for v in (np.int64(0b1011), np.uint8(3), np.int64((1 << 62) + 5)):
+        assert wt_f1_f2(v, 63) == wt_f1_f2(int(v), 63)
 
 
 @pytest.mark.parametrize("value, n", [(-1, 4), (16, 4), (1 << 70, 64), (0, 0), (1, 0), (0, -1)])

@@ -16,7 +16,6 @@ from delsub import (
     ErrorEvent,
     Word,
     bucket_counts,
-    canonical_witness,
     choose_params,
     classify_case,
     codeword_values,
@@ -58,7 +57,7 @@ from delsub.verifier import (
     _deletion_balls_disjoint,
     _splittable,
 )
-from oracles import all_witnesses, ball_values
+from oracles import all_witnesses, ball_values, canonical_witness
 
 W = Word.from_text
 
@@ -935,7 +934,6 @@ def test_full_report_lists_members_and_covers_once_for_explicit_params(monkeypat
 def _check_lists_members_and_covers_once(monkeypatch, explicit):
     import delsub.channel as channel
     import delsub.code as code
-    import delsub.decoder as decoder
     import delsub.verifier as verifier
 
     p = choose_params(14)[0] if explicit else None
@@ -955,11 +953,7 @@ def _check_lists_members_and_covers_once(monkeypatch, explicit):
         ],
     )
     # The records take their witnesses from the verifier's arrays.
-    one_pair = [
-        (decoder, "canonical_witness"),
-        (decoder, "_substitution_witnesses"),
-        (channel, "_substitution_witnesses"),
-    ]
+    one_pair = [(channel, "_substitution_witnesses")]
     _forbid(monkeypatch, one_pair, "a report took witnesses outside its one pass")
     drawn = [(code, "_random_members"), (verifier, "_random_members")]
     _forbid(monkeypatch, drawn, "a report drew samples")

@@ -96,7 +96,7 @@ MUTANTS = (
         "three = same[first + 1] & False",
         ("test_verifier.py::test_cover_keeps_the_three_smallest_of_a_crowded_word",),
     ),
-    # --- witnesses (channel._substitution_witnesses, decoder.canonical_witness)
+    # --- witnesses (channel._substitution_witnesses, decoder.list_decode_brute)
     Mutant(
         "bit-length-without-the-rounding-fix",
         "channel.py",
@@ -107,9 +107,16 @@ MUTANTS = (
     Mutant(
         "canonical-witness-takes-the-last",
         "decoder.py",
-        "return ErrorEvent(int(d[0]), int(e[0]))",
-        "return ErrorEvent(int(d[-1]), int(e[-1]))",
-        ("test_decoder.py::test_canonical_witness_is_the_first_witness_on_every_reachable_pair",),
+        "found.setdefault(cand, ErrorEvent(d, e))",
+        "found[cand] = ErrorEvent(d, e)",
+        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
+    ),
+    Mutant(
+        "brute-decoder-drops-the-deletion-only-guard",
+        "decoder.py",
+        "if not deleted <= found.keys():",
+        "if False:",
+        ("test_decoder.py::test_brute_decoder_refuses_a_member_reached_only_by_deletion",),
     ),
     Mutant(
         "witness-b1-without-its-where",
@@ -174,6 +181,13 @@ MUTANTS = (
         "e = (f1 if back else -f1) % m1",
         "e = f1 % m1",
         ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-counts-the-deletions-of-a-constant-weight",
+        "decoder.py",
+        "return DecodeResult([], 0)",
+        "return DecodeResult([], n)",
+        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
     ),
     Mutant(
         "decoder-rows-merge-without-row-order",
@@ -255,26 +269,12 @@ MUTANTS = (
         "mixed.append(last_pos if last_pos > last_neg else last_neg)",
         ("test_verifier.py::test_sign_split_counts_are_pinned",),
     ),
-    # --- exact syndromes (syndromes._byte_tables, syndromes.wt_f1_f2)
+    # --- exact syndromes (syndromes.wt_f1_f2)
     Mutant(
-        "f2-field-one-bit-narrower",
+        "bit-walk-position-off-by-one",
         "syndromes.py",
-        "s2 = s1 + (n * (n + 1) // 2).bit_length()",
-        "s2 = s1 + (n * (n + 1) // 2).bit_length() - 1",
-        ("test_syndromes.py::test_wt_f1_f2_matches_reference_routes",),
-    ),
-    Mutant(
-        "byte-table-position-off-by-one",
-        "syndromes.py",
-        "wt, f1, f2 = _position_shift(n - q)",
-        "wt, f1, f2 = _position_shift(n - q + 1)",
-        ("test_syndromes.py::test_summation_orders_agree_exhaustively",),
-    ),
-    Mutant(
-        "partial-top-byte-dropped",
-        "syndromes.py",
-        "for table in tables:",
-        "for table in tables[: n // 8]:",
+        "_position_shift(n + 1 - top)",
+        "_position_shift(n - top)",
         ("test_syndromes.py::test_summation_orders_agree_exhaustively",),
     ),
     # --- the length guard (words._check_length) and the CLI refusals
