@@ -278,7 +278,7 @@ def codeword_values(p: CodeParams) -> np.ndarray:
     is known before any member array is allocated.
     """
     n = p.n
-    _check_length(n, "class counting")
+    _check_length(n, "member listing")
     a = n // 2
     b = n - a
     _check_cap(p, "the subset states", _listing_bytes(n, 0))
@@ -316,12 +316,13 @@ def _pick(p: CodeParams, h: int, runs: _Runs, i: np.ndarray, m: np.ndarray) -> n
     return i[hit] << h | runs[0][first[hit] + m[hit]]
 
 
-def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
-    """Endless members of a class with at least one, uniform, drawn without listing.
+def _random_members(p: CodeParams, rng: random.Random) -> Iterator[np.ndarray]:
+    """Endless batches of uniform members of a class with at least one, drawn without listing.
 
-    Each batch draws uniform prefixes of the first n - h positions and ranks
-    below the longest run of the last h, h = _listed_positions(n) (at most
-    n^3 suffix states), and keeps the non-constant words that _pick finds.
+    Each batch draws _DRAW_BATCH uniform prefixes of the first n - h positions
+    and ranks below the longest run of the last h, h = _listed_positions(n) (at
+    most n^3 suffix states), and yields the non-constant words _pick finds as
+    one int64 array, maybe empty.  rng is read only when a batch is asked for.
     """
     n = p.n
     h = _listed_positions(n)
@@ -330,15 +331,13 @@ def _random_members(p: CodeParams, rng: random.Random) -> Iterator[int]:
     # A draw is one random 64-bit word: its low r bits a rank, kept below
     # width, then n - h bits a prefix; r <= h, as no run is longer than 2^h.
     r = (width - 1).bit_length()
-    constant = (0, (1 << n) - 1)
     while True:
         word = np.frombuffer(rng.randbytes(8 * _DRAW_BATCH), dtype=np.int64)
         m = word & ((1 << r) - 1)
         keep = m < width
         i = word[keep] >> r & ((1 << (n - h)) - 1)
-        for value in _pick(p, h, runs, i, m[keep]).tolist():
-            if value not in constant:
-                yield value
+        picked = _pick(p, h, runs, i, m[keep])
+        yield picked[(picked != 0) & (picked != (1 << n) - 1)]
 
 
 def enumerate_code(p: CodeParams) -> Iterator[Word]:

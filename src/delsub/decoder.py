@@ -195,11 +195,11 @@ def _decode_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every candidate of every received (n-1)-bit word in values, by syndrome arithmetic.
 
-    Groups the words whose candidates' weight fits by weight drop and runs
-    _decode_class once per drop.  Returns (row, x, d, e) with rows
-    ascending, x ascending within a row and, for each x, its canonical
-    witness.  x has values' dtype: int64 for n <= SCAN_CEILING, Python
-    ints above.
+    The route for many words, which smoke_report takes per draw batch: groups
+    the words whose candidates' weight fits by weight drop and runs
+    _decode_class once per drop.  Returns (row, x, d, e) with rows ascending,
+    x ascending within a row and, for each x, its canonical witness.  x has
+    values' dtype: int64 for n <= SCAN_CEILING, Python ints above.
     """
     values, bits = _bit_rows(values, p.n)
     weight = bits.sum(axis=1)

@@ -33,12 +33,11 @@ from .channel import (
     _corrupted,
     _packed_deletions,
     _substitution_witnesses,
-    apply_del_sub,
     classify_weight_delta,
     iter_events,
 )
 from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
-from .decoder import ListBoundError, list_decode
+from .decoder import _decode_rows
 from .syndromes import _mixed_starts, _power_sum, _suffix_weights
 from .words import Word, _check_length, get_bit
 
@@ -523,11 +522,12 @@ def smoke_report(
 ) -> tuple[dict, bool]:
     """Sampled spot checks where full ball coverage is not worth the wait.
 
-    Smoke, not verification: random corruptions of randomly drawn
-    codewords must decode back, and no decode may ever list more than
-    two candidates.  The class is counted once and never listed: each
-    codeword is drawn uniformly from it by code._random_members, whose
-    tables stay small at any length up to SCAN_CEILING.
+    Smoke, not verification: corruptions of members drawn uniformly, with
+    no listing, by code._random_members must decode back, and no row may
+    list over two candidates.  Each member still needed in a draw batch
+    takes d, e and a noise word, in that order; one _decode_rows call then
+    decodes rows 2j (its corruption) and 2j + 1 (the noise).  A row over
+    the bound is a bound failure and counts in nothing else.
     """
     if samples < 1:
         raise ValueError(f"smoke sampling needs samples >= 1, got {samples}")
@@ -537,21 +537,22 @@ def smoke_report(
         raise ValueError(f"{params} has no members to sample")
     draws = _random_members(params, rng)
     completeness_failures = bound_failures = max_list_seen = 0
-    for _ in range(samples):
-        sent = Word(n, next(draws))
-        d = rng.randrange(1, n + 1)
-        e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
-        received = apply_del_sub(sent, ErrorEvent(d, e))
-        noise = Word(n - 1, rng.randrange(0, 1 << (n - 1)))
-        # x is the codeword the decode must list, None for the noise word.
-        for y, x in ((received, sent), (noise, None)):
-            try:
-                res = list_decode(y, params)
-            except ListBoundError:
-                bound_failures += 1
-                continue
-            max_list_seen = max(max_list_seen, len(res.candidates))
-            completeness_failures += x is not None and x not in res.words
+    needed = samples
+    while needed:
+        sent = next(draws)[:needed]
+        needed -= len(sent)
+        received = []
+        for v in sent.tolist():
+            d = rng.randrange(1, n + 1)
+            e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
+            received += [_corrupted(v, n, ErrorEvent(d, e)), rng.randrange(0, 1 << (n - 1))]
+        row, x, _, _ = _decode_rows(received, params)
+        sizes = np.bincount(row, minlength=len(received))
+        within = sizes <= 2
+        bound_failures += int(np.count_nonzero(~within))
+        max_list_seen = max(max_list_seen, int(sizes[within].max(initial=0)))
+        listed = np.bincount(row[x == sent[row // 2]], minlength=len(received))[::2]
+        completeness_failures += int(np.count_nonzero(within[::2] & (listed == 0)))
     passed = completeness_failures == 0 and bound_failures == 0
     report = {
         "mode": "smoke",

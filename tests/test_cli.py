@@ -291,6 +291,22 @@ def test_verify_smoke_mode(capsys):
     assert doc2 == doc
 
 
+def test_verify_smoke_mode_exits_1_on_a_failed_report(capsys, monkeypatch):
+    import delsub.verifier as verifier
+
+    real = verifier._decode_rows
+
+    def lose_the_first_row(values, p):
+        row, *rest = real(values, p)
+        keep = row != 0  # member 0's corruption lists nothing
+        return (row[keep], *(a[keep] for a in rest))
+
+    monkeypatch.setattr(verifier, "_decode_rows", lose_the_first_row)
+    code, doc = run_json(capsys, "verify", "--n", "10", "--smoke", "5", "--seed", "7")
+    assert code == 1
+    assert doc["completeness_failures"] == 1 and doc["pass"] is False
+
+
 def test_verify_smoke_mode_above_the_full_check_range(capsys):
     code, doc = run_json(capsys, "verify", "--smoke", "20", "--n", "36")
     assert code == 0

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from delsub import (
     wt_f1_f2,
 )
 from delsub.code import (
+    _DRAW_BATCH,
     _class_sizes,
     _listed_positions,
     _listing_bytes,
@@ -332,7 +334,7 @@ def test_choose_params_tie_break_is_first_maximum():
         assert (counts[:best] < counts[best]).all()
 
 
-def test_choose_params_worker_and_engine_invariance():
+def test_choose_params_is_repeatable_and_matches_the_gray_scan():
     reference = choose_params(12)
     assert choose_params(12) == reference
     oracle = _gray_counts(12)
@@ -363,7 +365,7 @@ def test_enumerate_skips_constant_words():
             assert w not in set(enumerate_code(params_of(w)))
 
 
-def test_codeword_values_worker_invariance():
+def test_codeword_values_are_repeatable_and_match_the_membership_scan():
     p, _ = choose_params(12)
     reference = codeword_values(p)
     assert np.array_equal(codeword_values(p), reference)
@@ -379,13 +381,33 @@ def test_codeword_values_match_membership_filter(n, data):
     assert got.tolist() == [v for v in range(1 << n) if matches_value(p, v)]
 
 
+def _drawn_members(p, rng):
+    """The sampler's members one at a time, batch after batch, in draw order."""
+    return chain.from_iterable(batch.tolist() for batch in _random_members(p, rng))
+
+
+def test_random_members_read_the_rng_once_per_batch():
+    """A batch is one int64 array of members, and the sampler reads rng only
+    when the next batch is asked for: one randbytes call of _DRAW_BATCH words."""
+    p, _ = choose_params(24)
+    rng, expected = random.Random(3), random.Random(3)
+    draws = _random_members(p, rng)
+    assert rng.getstate() == expected.getstate()
+    for _ in range(3):
+        batch = next(draws)
+        expected.randbytes(8 * _DRAW_BATCH)
+        assert rng.getstate() == expected.getstate()
+        assert batch.dtype == np.int64 and 0 < len(batch) <= _DRAW_BATCH
+        assert all(matches_value(p, x) for x in batch.tolist())
+
+
 def test_random_members_draw_only_and_every_member():
     """Support, not uniformity: every non-empty class at n <= 10."""
     for n in range(2, 11):
         for key in np.flatnonzero(bucket_counts(n)).tolist():
             p = params_from_bucket(n, key)
             members = set(codeword_values(p).tolist())
-            draws = _random_members(p, random.Random(key))
+            draws = _drawn_members(p, random.Random(key))
             seen = set()
             for _ in range(64 * len(members)):
                 x = next(draws)
@@ -404,7 +426,7 @@ def test_random_members_skip_the_constant_words():
             p = params_of(w)
             members = set(codeword_values(p).tolist())
             assert members
-            draws = _random_members(p, random.Random(n))
+            draws = _drawn_members(p, random.Random(n))
             assert {next(draws) for _ in range(50 * len(members))} == members
 
 
@@ -435,13 +457,18 @@ def test_random_members_memory_peak_at_the_counting_ceiling():
     p, _ = choose_params(SCAN_CEILING)
     tracemalloc.start()
     try:
-        draws = _random_members(p, random.Random(0))
+        draws = _drawn_members(p, random.Random(0))
         members = [next(draws) for _ in range(20)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(matches_value(p, x) for x in members)
     assert peak < 8 * (1 << 20)
+
+
+def test_listing_names_itself_past_the_counting_ceiling():
+    with pytest.raises(ValueError, match=f"member listing supports 2 <= n <= {SCAN_CEILING}, got 63"):
+        next(enumerate_code(CodeParams(63, 0, 0, 0)))
 
 
 def test_codeword_values_refuses_a_class_over_the_memory_cap():

@@ -351,6 +351,23 @@ def test_decode_rows_of_no_fitting_word_are_empty(n):
         assert x.dtype == word, (n, ys)
 
 
+@pytest.mark.parametrize("n", [12, 16, 18])
+def test_decode_rows_of_every_received_word_match_the_ball(n):
+    """Decoding all of {0,1}^(n-1) and covering the class's balls answer one
+    question from opposite ends: the kernel's (row, x) are exactly the
+    ball's (y, x), and each witness (d, e) has e != d and maps x to y."""
+    p, _ = choose_params(n)
+    values = codeword_values(p)
+    dels, k = channel_module._packed_deletions(values, n)
+    keys = channel_module._ball_keys(n, dels, k)
+    row, x, d, e = decoder_module._decode_rows(np.arange(1 << (n - 1)), p)
+    assert np.array_equal(row, (keys >> k).astype(np.int64))
+    assert np.array_equal(x, values[keys & ((np.uint64(1) << k) - np.uint64(1))].astype(np.int64))
+    assert (e != d).all()
+    for y, v, ev in zip(row.tolist(), x.tolist(), zip(d.tolist(), e.tolist())):
+        assert channel_module._corrupted(v, n, ErrorEvent(*ev)) == y, (y, v, ev)
+
+
 @given(wide_received(min_n=SCAN_CEILING + 1, max_n=200))
 @settings(max_examples=40, deadline=None)
 def test_decode_past_int64_on_python_ints(case):
@@ -398,7 +415,7 @@ def test_decode_under_numpy_residues():
     assert got == list_decode(y, p) and got.candidates
 
 
-def test_closed_form_witnesses_stop_at_the_scan_ceiling(monkeypatch):
+def test_brute_decoder_stops_at_the_scan_ceiling_and_list_decode_does_not(monkeypatch):
     n = SCAN_CEILING + 1
     x = W("10" * (n // 2) + "1")
     y = apply_del_sub(x, ErrorEvent(3, 7))

@@ -1084,17 +1084,112 @@ def test_smoke_report_draws_in_a_fixed_order(monkeypatch):
     import delsub.verifier as verifier
 
     decoded = []
-    real = verifier.list_decode
+    real = verifier._decode_rows
 
-    def spy(y, p):
-        decoded.append(str(y))
-        return real(y, p)
+    def spy(values, p):
+        decoded.extend(str(Word(p.n - 1, v)) for v in values)
+        return real(values, p)
 
-    monkeypatch.setattr(verifier, "list_decode", spy)
+    monkeypatch.setattr(verifier, "_decode_rows", spy)
     smoke_report(12, samples=3, seed=3)
     assert decoded == [
         "01110010000", "11001000011", "10101010100", "10110101010", "01110110010", "10111001010",
     ]
+
+
+def _edit_smoke_rows(monkeypatch, edit):
+    """Route smoke's _decode_rows output through edit(sent, row, x), which
+    returns the kept (row, x); sent is the first draw batch's first member."""
+    import delsub.verifier as verifier
+
+    real_rows, real_draws = verifier._decode_rows, verifier._random_members
+    sent = []
+
+    def draws(p, rng):
+        for batch in real_draws(p, rng):
+            sent.extend(batch[:1].tolist())
+            yield batch
+
+    def rows(values, p):
+        row, x, _, _ = real_rows(values, p)
+        return (*edit(sent[0], row, x), None, None)  # smoke reads no witness
+
+    monkeypatch.setattr(verifier, "_random_members", draws)
+    monkeypatch.setattr(verifier, "_decode_rows", rows)
+
+
+def test_smoke_report_counts_a_crowded_row_only_as_a_bound_failure(monkeypatch):
+    """Row 0, member 0's corruption, lists three words and not member 0: one
+    bound failure, and the row counts neither in max_list_seen nor as a
+    completeness failure."""
+    others = []
+
+    def crowd(member, row, x):
+        keep = row != 0
+        others.append(int(np.bincount(row[keep]).max()))
+        return np.r_[0, 0, 0, row[keep]], np.r_[-1, -2, -3, x[keep]]
+
+    _edit_smoke_rows(monkeypatch, crowd)
+    report, passed = smoke_report(12, samples=5, seed=1)
+    assert len(others) == 1 and others[0] <= 2
+    assert (report["bound_failures"], report["completeness_failures"]) == (1, 0)
+    assert report["max_list_seen"] == others[0]
+    assert passed is report["pass"] is False
+
+
+def test_smoke_report_counts_a_missing_member_as_a_completeness_failure(monkeypatch):
+    def drop(member, row, x):
+        keep = (row != 0) | (x != member)
+        assert not keep.all()
+        return row[keep], x[keep]
+
+    _edit_smoke_rows(monkeypatch, drop)
+    report, passed = smoke_report(12, samples=5, seed=1)
+    assert (report["bound_failures"], report["completeness_failures"]) == (0, 1)
+    assert passed is report["pass"] is False
+
+
+def test_smoke_report_decodes_each_draw_batch_in_one_call(monkeypatch):
+    """One _decode_rows call per draw batch read, on the batch's members
+    still needed, two rows each, and no list_decode call."""
+    import delsub.decoder as decoder
+    import delsub.verifier as verifier
+
+    assert not hasattr(verifier, "list_decode")
+    _forbid(monkeypatch, [(decoder, "list_decode")], "smoke decoded one word at a time")
+    real_rows, real_draws = verifier._decode_rows, verifier._random_members
+    batches, calls = [], []
+
+    def draws(p, rng):
+        for batch in real_draws(p, rng):
+            batches.append(len(batch))
+            yield batch
+
+    def rows(values, p):
+        calls.append(len(values))
+        return real_rows(values, p)
+
+    monkeypatch.setattr(verifier, "_random_members", draws)
+    monkeypatch.setattr(verifier, "_decode_rows", rows)
+    report, passed = smoke_report(62, samples=30, seed=1)
+    assert passed and len(calls) == len(batches) > 1
+    assert sum(calls) == 2 * 30
+    assert calls[:-1] == [2 * k for k in batches[:-1]] and calls[-1] <= 2 * batches[-1]
+
+
+@pytest.mark.parametrize(
+    "n, samples, params",
+    [(12, 40, (2, 12, 161)), (16, 40, (0, 0, 372)), (62, 200, (3, 108, 5440))],
+)
+def test_smoke_report_is_pinned(n, samples, params):
+    """Seeded reports, the n = 62 one over about twenty draw batches."""
+    report, passed = smoke_report(n, samples=samples, seed=1)
+    assert report == {
+        "mode": "smoke", "n": n, "params": dict(zip(("c0", "c1", "c2"), params)),
+        "auto_params": True, "samples": samples, "seed": 1, "decode_trials": samples,
+        "max_list_seen": 2, "completeness_failures": 0, "bound_failures": 0, "pass": True,
+    }
+    assert passed
 
 
 @pytest.mark.parametrize("explicit", [False, True])

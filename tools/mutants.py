@@ -80,7 +80,10 @@ MUTANTS = (
         "    keys = keys.ravel()\n"
         "    keys.sort()\n"
         "    return keys[: len(keys) - len(pair) - len(chain)]",
-        ("test_verifier.py::test_ball_keys_match_the_dedupe_oracle_on_every_class",),
+        (
+            "test_verifier.py::test_ball_keys_match_the_dedupe_oracle_on_every_class",
+            "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball",
+        ),
     ),
     Mutant(
         "ball-keys-keep-the-chain-repeat",
@@ -145,14 +148,21 @@ MUTANTS = (
         "decoder.py",
         "    hit &= (f2 - steps[2, e] if back else f2 + steps[2, e]) % m2 == 0\n",
         "",
-        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+        (
+            "test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",
+            "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball",
+            "test_verifier.py::test_smoke_report_is_pinned",
+        ),
     ),
     Mutant(
         "decoder-kernel-flips-position-d",
         "decoder.py",
         "    hit &= e != d\n",
         "",
-        ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+        (
+            "test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",
+            "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball",
+        ),
     ),
     Mutant(
         "decoder-kernel-keeps-the-last-d",
@@ -224,6 +234,35 @@ MUTANTS = (
         'if {"list2", "lemma2", "deletion"} & set(checks):',
         "if True:",
         ("test_verifier.py::test_class_free_checks_list_nothing",),
+    ),
+    # --- smoke's row histogram (verifier.smoke_report)
+    Mutant(
+        "smoke-bound-at-three",
+        "verifier.py",
+        "within = sizes <= 2",
+        "within = sizes <= 3",
+        ("test_verifier.py::test_smoke_report_counts_a_crowded_row_only_as_a_bound_failure",),
+    ),
+    Mutant(
+        "smoke-max-counts-a-crowded-row",
+        "verifier.py",
+        "int(sizes[within].max(initial=0))",
+        "int(sizes.max(initial=0))",
+        ("test_verifier.py::test_smoke_report_counts_a_crowded_row_only_as_a_bound_failure",),
+    ),
+    Mutant(
+        "smoke-completeness-counts-a-crowded-row",
+        "verifier.py",
+        "np.count_nonzero(within[::2] & (listed == 0))",
+        "np.count_nonzero(listed == 0)",
+        ("test_verifier.py::test_smoke_report_counts_a_crowded_row_only_as_a_bound_failure",),
+    ),
+    Mutant(
+        "smoke-completeness-never-counts",
+        "verifier.py",
+        "completeness_failures += int(np.count_nonzero(within[::2] & (listed == 0)))",
+        "pass",
+        ("test_verifier.py::test_smoke_report_counts_a_missing_member_as_a_completeness_failure",),
     ),
     # --- weight-drop table (verifier.verify_weight_deltas)
     Mutant(
@@ -327,8 +366,8 @@ MUTANTS = (
     Mutant(
         "sampler-keeps-constant-words",
         "code.py",
-        "if value not in constant:",
-        "if True:",
+        "yield picked[(picked != 0) & (picked != (1 << n) - 1)]",
+        "yield picked",
         ("test_code.py::test_random_members_skip_the_constant_words",),
     ),
 )
