@@ -120,7 +120,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    ns = [int(v) for v in args.n_list.split(",") if v]
+    try:
+        ns = [int(v) for v in args.n_list.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--n-list expects comma-separated integers, got {args.n_list!r}") from None
     if not ns:
         raise ValueError(f"--n-list needs at least one length, got {args.n_list!r}")
     rows = redundancy_table(ns)

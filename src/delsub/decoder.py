@@ -128,7 +128,7 @@ def _bit_rows(values: Sequence[int] | np.ndarray, n: int) -> tuple[np.ndarray, n
     """values in the word dtype, and their (n-1)-bit rows of symbols as int64."""
     shifts, _ = _kernel_tables(n)
     values = np.asarray(values, dtype=shifts.dtype)
-    return values, ((values[:, None] >> shifts) & 1).astype(np.int64)
+    return values, ((values[:, None] >> shifts) & 1).astype(np.int64, copy=False)
 
 
 def _decode_class(
@@ -143,7 +143,8 @@ def _decode_class(
     a 1 and by +e when it flips a 0, so the f1 residue mod 2n names the one
     possible e (Levenshtein's VT deficiency argument), and the f2 residue
     accepts or rejects it: O(1) per deletion.  Hits come by row, then by
-    d; one x may hit at several d.
+    ascending d (np.nonzero's row-major order), and list_decode relies on
+    it; one x may hit at several d.
     """
     n = p.n
     _, m1, m2 = _moduli(n)
@@ -171,8 +172,8 @@ def _decode_class(
     row, col = np.nonzero(hit)
     d, e = col + 1, e[row, col]
     word = shifts.dtype
-    x = insert_bit(values[row], n - 1, d.astype(word), inserted)
-    x ^= 1 << (n - e).astype(word)
+    x = insert_bit(values[row], n - 1, d.astype(word, copy=False), inserted)
+    x ^= 1 << (n - e).astype(word, copy=False)
     return row, x, d, e
 
 
@@ -181,7 +182,8 @@ def _first_hits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The hits by row and ascending x, each (row, x) once with its smallest d.
 
-    That d's (d, e) is x's canonical witness.
+    That d's (d, e) is x's canonical witness.  It merges _decode_rows' four
+    drop groups back into row order; list_decode's one row needs no sort.
     """
     order = np.lexsort((d, x, row))
     row, x, d, e = row[order], x[order], d[order], e[order]
@@ -216,9 +218,10 @@ def _decode_rows(
 def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     """Syndrome-arithmetic decoder; extensionally equal to list_decode_brute.
 
-    _decode_class on the one row, in the class its weight drop names.
-    `examined` counts the deletions tested: n when the recovered weight
-    is a non-constant word's, else 0.  Takes any length.
+    _decode_class on the one row, in the class its weight drop names.  Its
+    hits come in ascending d, so each x's first hit is its canonical
+    witness.  `examined` counts the deletions tested: n when the recovered
+    weight is a non-constant word's, else 0.  Takes any length.
     """
     n = p.n
     if y.n != n - 1:
@@ -228,6 +231,8 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     if not _fits(weight, n):
         # Weight 0 or n is a constant word's, which no class holds: no deletion is tested.
         return DecodeResult([], 0)
-    _, x, d, e = _first_hits(*_decode_class(*_bit_rows([y.value], n), p, drop))
-    found = {v: ErrorEvent(*ev) for v, *ev in zip(x.tolist(), d.tolist(), e.tolist())}
+    _, x, d, e = _decode_class(*_bit_rows([y.value], n), p, drop)
+    found: dict[int, ErrorEvent] = {}
+    for v, dv, ev in zip(x.tolist(), d.tolist(), e.tolist()):
+        found.setdefault(v, ErrorEvent(dv, ev))
     return _collect(found, y, p, n)

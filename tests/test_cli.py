@@ -396,6 +396,13 @@ def test_table_empty_n_list_is_usage_error(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_table_n_list_names_its_format(capsys):
+    for bad in ("x", "8,x", "8.0"):
+        code, out, err = run(capsys, "table", "--n-list", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: --n-list expects comma-separated integers, got {bad!r}\n", bad
+
+
 def test_table_text_format(capsys):
     code, out, _ = run(capsys, "table", "--n-list", "8", "--format", "text")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -100,54 +101,56 @@ def _arange_classes(n):
     return ((wt & 3) * 2 * n + f1 % (2 * n)) * (2 * n * n) + f2 % (2 * n * n)
 
 
-def _reachability(p):
-    """Oracle: backward reachability table, one bit-packed row per prefix length.
+@functools.lru_cache(maxsize=4)
+def _suffix_sums(n):
+    """Oracle: the residue states the suffixes reach, one bit-packed row per prefix length.
 
-    Row k - 1 marks the flat residue states that positions 1..k may leave
-    and that some choice of positions k+1..n still carries to p's triple;
-    _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes,
-    so the table takes n * 16n^3 / 8 bytes.
+    Row k - 1 marks the flat (wt, f1, f2) residue states that some set of
+    1s among positions k+1..n adds up to: row n - 1 marks only 0, and each
+    row before it takes one more position by np.roll.  The rows depend on
+    n alone, so one table, built once per length, serves every class;
+    _reached reads it.  Each row packs the 16n^3 states into 2n^3 bytes.
     """
-    n = p.n
-    reach = np.zeros(_moduli(n), dtype=bool)
-    reach[p.c0, p.c1, p.c2] = True
-    packed = np.empty((n, reach.size // 8), dtype=np.uint8)
-    packed[n - 1] = np.packbits(reach, bitorder="little")
+    sums = np.zeros(_moduli(n), dtype=bool)
+    sums[0, 0, 0] = True
+    packed = np.empty((n, sums.size // 8), dtype=np.uint8)
+    packed[n - 1] = np.packbits(sums, bitorder="little")
     for k in range(n - 1, 0, -1):
-        back = tuple(-v for v in _position_shift(k + 1))
-        reach |= np.roll(reach, back, axis=(0, 1, 2))
-        packed[k - 1] = np.packbits(reach, bitorder="little")
+        sums |= np.roll(sums, _position_shift(k + 1), axis=(0, 1, 2))
+        packed[k - 1] = np.packbits(sums, bitorder="little")
+    packed.flags.writeable = False
     return packed
 
 
 def _reached(row, state):
-    """Whether a packed reachability row marks each flat state (an int or int64 array)."""
+    """Whether a packed row of _suffix_sums marks each flat state (an int or int64 array)."""
     return ((row[state >> 3] >> (state & 7)) & 1) == 1
 
 
-def _set_position(state, n, i):
-    """Flat residue states after a 1 is placed at position i."""
+def _take_position(state, n, i):
+    """Flat residue states less the shift of a 1 at position i."""
     m0, m1, m2 = _moduli(n)
     wt, rest = np.divmod(state, m1 * m2)
     f1, f2 = np.divmod(rest, m2)
     d0, d1, d2 = _position_shift(i)
-    return (((wt + d0) % m0) * m1 + (f1 + d1) % m1) * m2 + (f2 + d2) % m2
+    return (((wt - d0) % m0) * m1 + (f1 - d1) % m1) * m2 + (f2 - d2) % m2
 
 
 def _reach_list_oracle(p):
-    """Oracle: list a class by growing prefixes through its reachability table.
+    """Oracle: list a class by growing prefixes through its length's suffix sums.
 
-    Prefixes grow one position at a time, 0 before 1, and a prefix is kept
-    only when the backward reachability table says some suffix completes it
-    into the class, so values stay in ascending order.
+    Prefixes grow one position at a time, 0 before 1, and each carries the
+    state its suffix must still add: p's triple less the prefix's own.  A
+    prefix is kept only when the suffix sums of the positions after it
+    reach that state, so values stay in ascending order.
     """
     n = p.n
-    reach = _reachability(p)
+    sums = _suffix_sums(n)
     values = np.zeros(1, dtype=np.uint64)
-    state = np.zeros(1, dtype=np.int64)
+    state = np.array([np.ravel_multi_index((p.c0, p.c1, p.c2), _moduli(n))], dtype=np.int64)
     for k in range(1, n + 1):
-        state = np.stack((state, _set_position(state, n, k)), axis=1).ravel()
-        keep = _reached(reach[k - 1], state)
+        state = np.stack((state, _take_position(state, n, k)), axis=1).ravel()
+        keep = _reached(sums[k - 1], state)
         state = state[keep]
         twice = values << 1
         values = np.stack((twice, twice | 1), axis=1).ravel()[keep]
@@ -526,7 +529,7 @@ def _assert_lists_like_the_oracle(p):
 
 
 def test_codeword_values_match_the_reachability_oracle_on_every_class():
-    # The oracle builds a reachability table per class; an empty class is
+    # The oracle reads one suffix-sum table per length; an empty class is
     # held to its count instead, which the Gray-code oracle pins.
     for n in range(2, 11):
         for key, size in enumerate(bucket_counts(n).tolist()):

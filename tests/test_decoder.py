@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,7 @@ from delsub import (
     params_of,
     vt_syndrome,
 )
+from delsub.code import _random_members
 from oracles import all_witnesses, canonical_witness
 
 W = Word.from_text
@@ -317,22 +320,32 @@ def test_decode_rows_match_the_brute_decoder_on_the_best_class(n):
     _kernel_matches_brute(choose_params(n)[0])
 
 
+def _mixed_stream(p, rng, count):
+    """count seeded received words: a quarter uniform random, the rest
+    corrupted members (uniform d, e uniform over none and the other
+    positions).  Members are listed up to n = 40, and past that taken from
+    one batch of the sampler."""
+    n = p.n
+    members = codeword_values(p) if n <= 40 else next(_random_members(p, random.Random(n)))
+    ys = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            ys.append(int(rng.integers(0, 1 << (n - 1))))
+            continue
+        x = Word(n, members[rng.integers(len(members))])
+        d = int(rng.integers(1, n + 1))
+        e = int(rng.choice([0] + [i for i in range(1, n + 1) if i != d])) or None
+        ys.append(apply_del_sub(x, ErrorEvent(d, e)).value)
+    return ys
+
+
 def test_decode_rows_batch_equals_one_row_decodes():
     """A batch over a seeded stream of corrupted members and random words
     equals list_decode row by row."""
     rng = np.random.default_rng(5)
-    for n in (16, 24, 40):
+    for n in (16, 24, 40, 62):
         p, _ = choose_params(n)
-        members = codeword_values(p)
-        ys = []
-        for _ in range(300):
-            if rng.random() < 0.25:
-                ys.append(int(rng.integers(0, 1 << (n - 1))))
-                continue
-            x = Word(n, members[rng.integers(len(members))])
-            d = int(rng.integers(1, n + 1))
-            e = int(rng.choice([0] + [i for i in range(1, n + 1) if i != d])) or None
-            ys.append(apply_del_sub(x, ErrorEvent(d, e)).value)
+        ys = _mixed_stream(p, rng, 300)
         batch = _kernel_candidates(p, ys)
         assert sum(map(len, batch)) > len(ys) // 2
         for yv, got in zip(ys, batch):
@@ -380,6 +393,45 @@ def test_decode_past_int64_on_python_ints(case):
         assert len(got.candidates) <= 2
         for w, ev in got.candidates:
             assert is_codeword(w, p) and apply_del_sub(w, ev) == y, (p, y, w, ev)
+
+
+@pytest.mark.parametrize("n", [12, 24, 62])
+def test_one_row_hits_come_in_ascending_d(n):
+    """list_decode keeps each x's first hit as its canonical witness, so
+    _decode_class must give one row's hits in non-decreasing d: on every
+    received word of the best class at n = 12, and on 300 seeded words at
+    n = 24 and 62."""
+    p, _ = choose_params(n)
+    ys = range(1 << (n - 1)) if n == 12 else _mixed_stream(p, np.random.default_rng(n), 300)
+    repeats = 0
+    for yv in ys:
+        weight = bin(yv).count("1")
+        drop = channel_module._weight_drop(p.c0, weight)
+        if not decoder_module._fits(weight + drop, n):
+            continue  # list_decode runs no kernel
+        bits = decoder_module._bit_rows([yv], n)
+        row, x, d, e = decoder_module._decode_class(*bits, p, drop)
+        assert (row == 0).all()
+        assert (np.diff(d) >= 0).all(), (p, yv, d)
+        repeats += len(x) > len(set(x.tolist()))
+    assert repeats > 0  # some x hits at several d, where the order picks its witness
+
+
+def test_list_decode_needs_no_dedupe_sort(monkeypatch):
+    """_first_hits is _decode_rows' merge: list_decode takes each x's first
+    hit in its one row's d order and decodes as the brute decoder does."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("list_decode sorted its one row's hits")
+
+    monkeypatch.setattr(decoder_module, "_first_hits", forbidden)
+    assert list_decode(Y1, P1).candidates == [(X1, ErrorEvent(6, 8))]
+    p, _ = choose_params(9)
+    for yv in range(1 << 8):
+        y = Word(8, yv)
+        assert list_decode(y, p).candidates == list_decode_brute(y, p).candidates, y
+    x = W("1101" * 18)  # n = 72: the Python-int path
+    y = apply_del_sub(x, ErrorEvent(5, 40))
+    assert (x, canonical_witness(x, y)) in list_decode(y, params_of(x)).candidates
 
 
 def test_list_decode_takes_its_witnesses_from_the_search(monkeypatch):

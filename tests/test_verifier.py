@@ -48,6 +48,7 @@ from delsub.channel import (
 from delsub.syndromes import _mixed_starts
 from delsub.verifier import (
     _CASES,
+    _CHECK_RANGES,
     _case_indices,
     _case_lambdas,
     _collision_ordering,
@@ -256,6 +257,22 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
     per_word = Counter(y for y, _, _ in _triples(cov))
     assert max(per_word.values()) == 3  # the three pairs of the three smallest
     assert _cover(6, [], *_packed_deletions([], 6)).max_list_size == 0
+
+
+def test_coverage_widths_hold_through_the_verify_ceiling():
+    """The coverage's fixed widths are exact at every length its checks take.
+
+    _cover copies y, n - 1 bits, to uint32; the ball keys y << k | i need
+    n - 1 + k <= 64 bits, and k <= n since a class has fewer than 2^n
+    members; _collision_witnesses views x, n bits, and y as int64.  A
+    VERIFY_CEILING raised past n - 1 <= 32 or 2n - 1 <= 64 fails here
+    instead of truncating.
+    """
+    top = max(_CHECK_RANGES[c][1] for c in ("list2", "lemma2", "deletion"))
+    assert top == VERIFY_CEILING
+    assert top - 1 <= np.iinfo(np.uint32).bits
+    assert 2 * top - 1 <= np.iinfo(np.uint64).bits
+    assert top < np.iinfo(np.int64).bits
 
 
 def _ball_keys_oracle(n, dels, k):

@@ -142,7 +142,7 @@ MUTANTS = (
         "a2 = n - _bit_length(a)",
         ("test_verifier.py::test_substitution_witnesses_match_all_witnesses_on_every_ball",),
     ),
-    # --- the syndrome-arithmetic kernel (decoder._decode_class, decoder._decode_rows)
+    # --- the syndrome-arithmetic kernel (decoder._decode_class, _decode_rows, list_decode)
     Mutant(
         "decoder-kernel-drops-the-f2-test",
         "decoder.py",
@@ -164,6 +164,8 @@ MUTANTS = (
             "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball",
         ),
     ),
+    # The lexsort is _decode_rows' merge only; list_decode reads its one
+    # row's hits in the kernel's d order.
     Mutant(
         "decoder-kernel-keeps-the-last-d",
         "decoder.py",
@@ -205,6 +207,20 @@ MUTANTS = (
         "np.lexsort((d, x, row))",
         "np.lexsort((d, x))",
         ("test_decoder.py::test_decode_rows_batch_equals_one_row_decodes",),
+    ),
+    Mutant(
+        "list-decode-keeps-the-last-witness",
+        "decoder.py",
+        "found.setdefault(v, ErrorEvent(dv, ev))",
+        "found[v] = ErrorEvent(dv, ev)",
+        ("test_decoder.py::test_search_witnesses_are_canonical_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-hits-in-descending-d",
+        "decoder.py",
+        "    row, col = np.nonzero(hit)\n",
+        "    row, col = np.nonzero(hit[:, ::-1])\n    col = n - 1 - col\n",
+        ("test_decoder.py::test_one_row_hits_come_in_ascending_d",),
     ),
     # --- collisions and lemma2 (verifier)
     Mutant(
