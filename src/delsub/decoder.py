@@ -101,19 +101,16 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's per-length constants.
+def _kernel_tables(n: int) -> np.ndarray:
+    """The kernel's per-length constants, int64 at every n.
 
-    The shifts that read y's positions q = 1..n-1 (bit n-1-q), in the word
-    dtype (int64 while n-bit words fit it, n <= SCAN_CEILING, Python ints
-    above), and column i of a (3, 2n) table: what a 1 at position i adds to
-    (wt, f1, f2), for i = 0..2n-1, every residue of f1 mod 2n.  Both are
-    read-only, since every caller shares them.
+    Column i of a (3, 2n) table: what a 1 at position i adds to (wt, f1,
+    f2), for i = 0..2n-1, every residue of f1 mod 2n.  Read-only, since
+    every caller shares it.
     """
-    shifts = np.arange(n - 2, -1, -1).astype(np.int64 if n <= SCAN_CEILING else object)
-    steps = np.array([_position_shift(i) for i in range(2 * n)]).T
-    shifts.flags.writeable = steps.flags.writeable = False
-    return shifts, steps
+    steps = np.array([_position_shift(i) for i in range(2 * n)], dtype=np.int64).T
+    steps.flags.writeable = False
+    return steps
 
 
 def _fits(weight, n):
@@ -124,57 +121,78 @@ def _fits(weight, n):
     return (0 < weight) & (weight < n)
 
 
-def _bit_rows(values: Sequence[int] | np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """values in the word dtype, and their (n-1)-bit rows of symbols as int64."""
-    shifts, _ = _kernel_tables(n)
-    values = np.asarray(values, dtype=shifts.dtype)
-    return values, ((values[:, None] >> shifts) & 1).astype(np.int64, copy=False)
+def _symbol_rows(values: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Received (n-1)-bit words as padded (rows, 2n) int64 rows of symbols.
+
+    Column q = 1..n-1 of a row holds the word's symbol at position q;
+    column 0 and columns n.. hold 2, which matches no symbol.  An int64
+    array is read through its big-endian bytes, Python ints through
+    int.to_bytes; np.unpackbits spreads either, and the last n-1 bits of
+    each row are the word's.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        octets = values.astype(">i8").view(np.uint8).reshape(len(values), 8)
+    else:
+        size = (n + 6) // 8
+        octets = np.frombuffer(b"".join(int(v).to_bytes(size, "big") for v in values), np.uint8)
+        octets = octets.reshape(len(values), size)
+    bits = np.unpackbits(octets, axis=1)
+    symbols = np.full((len(values), 2 * n), 2, dtype=np.int64)
+    symbols[:, 1:n] = bits[:, bits.shape[1] - (n - 1) :]
+    return symbols
 
 
 def _decode_class(
-    values: np.ndarray, bits: np.ndarray, p: CodeParams, drop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (row, x, d, e) hit of received words that share one weight drop and fit.
+    symbols: np.ndarray, p: CodeParams, drop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row, d, e) hit of received words that share one weight drop and fit.
 
-    The drop fixes the symbol b the deletion removed and the symbol the
-    substitution wrote.  Inserting b at d adds W + b*d to f1 and F + W +
-    b*d(d+1)/2 to f2, where W and F are y's weight and sum of 1-positions
-    from position d on.  Flipping e back then moves f1 by -e when it flips
-    a 1 and by +e when it flips a 0, so the f1 residue mod 2n names the one
-    possible e (Levenshtein's VT deficiency argument), and the f2 residue
-    accepts or rejects it: O(1) per deletion.  Hits come by row, then by
-    ascending d (np.nonzero's row-major order), and list_decode relies on
-    it; one x may hit at several d.
+    symbols are _symbol_rows' padded rows, and every array here is int64
+    at every n.  The drop fixes the symbol b the deletion removed and the
+    symbol the substitution wrote.  Inserting b at d adds W + b*d to f1 and
+    F + W + b*d(d+1)/2 to f2, where W and F are y's weight and sum of
+    1-positions from position d on.  Flipping e back then moves f1 by -e
+    when it flips a 1 and by +e when it flips a 0, so the f1 residue mod 2n
+    names the one possible e (Levenshtein's VT deficiency argument), and
+    the f2 residue accepts or rejects it: O(1) per deletion.  Hits come by
+    row, then by ascending d (np.nonzero's row-major order), and
+    list_decode relies on it; one x may hit at several d.  The callers
+    rebuild x from (row, d, e).
     """
     n = p.n
     _, m1, m2 = _moduli(n)
-    shifts, steps = _kernel_tables(n)
+    steps = _kernel_tables(n)
     _, d, tri = steps[:, 1 : n + 1]  # d = 1..n and d(d+1)/2
     inserted, back = _SYMBOLS[drop]
     # sums[:, k, d - 1]: component k of (wt, f1, f2) over y's positions d..n-1.
-    sums = np.zeros((len(values), 3, n), dtype=np.int64)
-    np.cumsum((bits[:, None, :] * steps[:, 1:n])[..., ::-1], axis=2, out=sums[..., -2::-1])
+    sums = np.zeros((len(symbols), 3, n), dtype=np.int64)
+    np.cumsum((symbols[:, None, 1:n] * steps[:, 1:n])[..., ::-1], axis=2, out=sums[..., -2::-1])
     w_from, f_from = sums[:, 0], sums[:, 1]
-    f1 = f_from[:, :1] + w_from - p.c1
-    f2 = sums[:, 2, :1] + f_from + w_from - p.c2
+    f1 = f_from[:, :1] + w_from
+    f1 -= p.c1
+    f2 = sums[:, 2, :1] + f_from
+    f2 += w_from
+    f2 -= p.c2
     if inserted:
         f1 += d
         f2 += tri
-    e = (f1 if back else -f1) % m1
-    # The base word's symbol at e != d is y's at e before d and at e - 1 after
-    # it; column 0 and columns n.. of `symbols` hold 2, which matches no
-    # symbol, so an e outside 1..n never hits.
-    symbols = np.full((len(values), 2 * n), 2, dtype=np.int64)
-    symbols[:, 1:n] = bits
-    hit = symbols.ravel()[e - (e > d) + 2 * n * np.arange(len(values))[:, None]] == back
-    hit &= e != d
-    hit &= (f2 - steps[2, e] if back else f2 + steps[2, e]) % m2 == 0
+    e = f1 if back else np.negative(f1, out=f1)
+    e %= m1
+    # The base word's symbol at e is y's at e before d and at e - 1 after
+    # it.  e == d reads pad column 0, as does e = 0, and an e past n reads
+    # pad past column n - 1: none of them hits.
+    at = e - (e > d)
+    at[e == d] = 0
+    at += 2 * n * np.arange(len(symbols))[:, None]
+    hit = symbols.ravel()[at] == back
+    if back:
+        f2 -= steps[2, e]
+    else:
+        f2 += steps[2, e]
+    f2 %= m2
+    hit &= f2 == 0
     row, col = np.nonzero(hit)
-    d, e = col + 1, e[row, col]
-    word = shifts.dtype
-    x = insert_bit(values[row], n - 1, d.astype(word, copy=False), inserted)
-    x ^= 1 << (n - e).astype(word, copy=False)
-    return row, x, d, e
+    return row, col + 1, e[row, col]
 
 
 def _first_hits(
@@ -198,27 +216,36 @@ def _decode_rows(
     """Every candidate of every received (n-1)-bit word in values, by syndrome arithmetic.
 
     The route for many words, which smoke_report takes per draw batch: groups
-    the words whose candidates' weight fits by weight drop and runs
-    _decode_class once per drop.  Returns (row, x, d, e) with rows ascending,
-    x ascending within a row and, for each x, its canonical witness.  x has
-    values' dtype: int64 for n <= SCAN_CEILING, Python ints above.
+    the words whose candidates' weight fits by weight drop, runs
+    _decode_class once per drop on their symbol rows, and rebuilds each
+    hit's x from its row's value, vectorised.  Returns (row, x, d, e) with
+    rows ascending, x ascending within a row and, for each x, its canonical
+    witness.  The kernel is int64 at every n; x has the values' dtype,
+    int64 for n <= SCAN_CEILING and Python ints above.
     """
-    values, bits = _bit_rows(values, p.n)
-    weight = bits.sum(axis=1)
+    n = p.n
+    word = np.int64 if n <= SCAN_CEILING else object
+    values = np.asarray(values, dtype=word)
+    symbols = _symbol_rows(values, n)
+    weight = symbols[:, 1:n].sum(axis=1)
     drop = _weight_drop(p.c0, weight)
-    fits = _fits(weight + drop, p.n)
+    fits = _fits(weight + drop, n)
     hits = []
-    for k in _SYMBOLS:
+    for k, (inserted, _) in _SYMBOLS.items():
         rows = np.flatnonzero(fits & (drop == k))
-        row, *rest = _decode_class(values[rows], bits[rows], p, k)
-        hits.append((rows[row], *rest))
+        row, d, e = _decode_class(symbols[rows], p, k)
+        row = rows[row]
+        x = insert_bit(values[row], n - 1, d.astype(word, copy=False), inserted)
+        x ^= 1 << (n - e).astype(word, copy=False)
+        hits.append((row, x, d, e))
     return _first_hits(*map(np.concatenate, zip(*hits)))
 
 
 def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     """Syndrome-arithmetic decoder; extensionally equal to list_decode_brute.
 
-    _decode_class on the one row, in the class its weight drop names.  Its
+    _decode_class on the one row, in the class its weight drop names, then
+    each hit's x rebuilt in Python ints: there are only ever a few.  The
     hits come in ascending d, so each x's first hit is its canonical
     witness.  `examined` counts the deletions tested: n when the recovered
     weight is a non-constant word's, else 0.  Takes any length.
@@ -231,8 +258,10 @@ def list_decode(y: Word, p: CodeParams) -> DecodeResult:
     if not _fits(weight, n):
         # Weight 0 or n is a constant word's, which no class holds: no deletion is tested.
         return DecodeResult([], 0)
-    _, x, d, e = _decode_class(*_bit_rows([y.value], n), p, drop)
+    _, d, e = _decode_class(_symbol_rows([y.value], n), p, drop)
+    inserted, _ = _SYMBOLS[drop]
     found: dict[int, ErrorEvent] = {}
-    for v, dv, ev in zip(x.tolist(), d.tolist(), e.tolist()):
-        found.setdefault(v, ErrorEvent(dv, ev))
+    for dv, ev in zip(d.tolist(), e.tolist()):
+        x = flip_bit(insert_bit(y.value, n - 1, dv, inserted), n, ev)
+        found.setdefault(x, ErrorEvent(dv, ev))
     return _collect(found, y, p, n)

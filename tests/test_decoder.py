@@ -20,6 +20,8 @@ from delsub import (
     codeword_values,
     delete_bit,
     error_ball,
+    flip_bit,
+    insert_bit,
     is_codeword,
     list_decode,
     list_decode_brute,
@@ -384,8 +386,9 @@ def test_decode_rows_of_every_received_word_match_the_ball(n):
 @given(wide_received(min_n=SCAN_CEILING + 1, max_n=200))
 @settings(max_examples=40, deadline=None)
 def test_decode_past_int64_on_python_ints(case):
-    """Above SCAN_CEILING the kernel runs on Python ints: a corrupted member
-    decodes back, and every candidate is a member that reproduces y."""
+    """Above SCAN_CEILING, where the words outgrow int64 and only x is
+    rebuilt in Python ints: a corrupted member decodes back, and every
+    candidate is a member that reproduces y."""
     x, p, received = case
     assert x in list_decode(received[0], p).words
     for y in received:
@@ -395,26 +398,87 @@ def test_decode_past_int64_on_python_ints(case):
             assert is_codeword(w, p) and apply_del_sub(w, ev) == y, (p, y, w, ev)
 
 
-@pytest.mark.parametrize("n", [12, 24, 62])
+def _wide_stream(n, count):
+    """A class past SCAN_CEILING and count seeded received words of it: a
+    quarter uniform random, the rest corruptions of one member."""
+    rng = random.Random(n)
+    x = W(("1101" * n)[:n])
+    ys = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            ys.append(rng.getrandbits(n - 1))
+            continue
+        d = rng.randrange(1, n + 1)
+        e = rng.choice([None] + [i for i in range(1, n + 1) if i != d])
+        ys.append(apply_del_sub(x, ErrorEvent(d, e)).value)
+    return params_of(x), ys
+
+
+@pytest.mark.parametrize("n", [12, 24, 62, SCAN_CEILING + 1])
 def test_one_row_hits_come_in_ascending_d(n):
     """list_decode keeps each x's first hit as its canonical witness, so
     _decode_class must give one row's hits in non-decreasing d: on every
-    received word of the best class at n = 12, and on 300 seeded words at
-    n = 24 and 62."""
-    p, _ = choose_params(n)
-    ys = range(1 << (n - 1)) if n == 12 else _mixed_stream(p, np.random.default_rng(n), 300)
+    received word of the best class at n = 12, on 300 seeded words at
+    n = 24 and 62, and on 300 past SCAN_CEILING."""
+    if n > SCAN_CEILING:
+        p, ys = _wide_stream(n, 300)
+    else:
+        p, _ = choose_params(n)
+        ys = range(1 << (n - 1)) if n == 12 else _mixed_stream(p, np.random.default_rng(n), 300)
     repeats = 0
     for yv in ys:
         weight = bin(yv).count("1")
         drop = channel_module._weight_drop(p.c0, weight)
         if not decoder_module._fits(weight + drop, n):
             continue  # list_decode runs no kernel
-        bits = decoder_module._bit_rows([yv], n)
-        row, x, d, e = decoder_module._decode_class(*bits, p, drop)
+        row, d, e = decoder_module._decode_class(decoder_module._symbol_rows([yv], n), p, drop)
         assert (row == 0).all()
         assert (np.diff(d) >= 0).all(), (p, yv, d)
-        repeats += len(x) > len(set(x.tolist()))
+        inserted, _ = decoder_module._SYMBOLS[drop]
+        x = [flip_bit(insert_bit(yv, n - 1, dv, inserted), n, ev) for dv, ev in zip(d.tolist(), e.tolist())]
+        repeats += len(x) > len(set(x))
     assert repeats > 0  # some x hits at several d, where the order picks its witness
+
+
+@pytest.mark.parametrize("n", [9, 17, 24, 63, 65, 129])
+def test_symbol_rows_match_the_word_bits(n):
+    """A padded symbol row holds Word.bits() in columns 1..n-1 and 2
+    elsewhere, whether n - 1 fills its last byte or not, built from Python
+    ints and, while (n-1)-bit words fit it, from an int64 array."""
+    rng = random.Random(n)
+    top = (1 << (n - 1)) - 1
+    values = [0, top, top // 3, 1, 1 << (n - 2)] + [rng.getrandbits(n - 1) for _ in range(20)]
+    builds = [decoder_module._symbol_rows(values, n)]
+    if n <= SCAN_CEILING + 1:
+        builds.append(decoder_module._symbol_rows(np.array(values, dtype=np.int64), n))
+    for symbols in builds:
+        assert symbols.dtype == np.int64 and symbols.shape == (len(values), 2 * n)
+        for v, row in zip(values, symbols.tolist()):
+            assert row[1:n] == list(Word(n - 1, v).bits()), (n, v)
+            assert row[0] == 2 and set(row[n:]) == {2}, (n, v)
+
+
+@pytest.mark.parametrize("n", [24, 63, 130])
+def test_the_kernel_runs_on_int64_at_every_length(n):
+    """One dtype route: the kernel's step table, symbol rows, d and e are
+    int64 at every n, and only _decode_rows' x takes the values' dtype."""
+    if n > SCAN_CEILING:
+        p, ys = _wide_stream(n, 60)
+    else:
+        p, _ = choose_params(n)
+        ys = _mixed_stream(p, np.random.default_rng(n), 60)
+    assert decoder_module._kernel_tables(n).dtype == np.int64
+    symbols = decoder_module._symbol_rows(ys, n)
+    assert symbols.dtype == np.int64
+    hits = 0
+    for drop in decoder_module._SYMBOLS:
+        row, d, e = decoder_module._decode_class(symbols, p, drop)
+        assert d.dtype == e.dtype == np.int64, (drop, d.dtype, e.dtype)
+        hits += len(row)
+    assert hits
+    row, x, d, e = decoder_module._decode_rows(ys, p)
+    assert d.dtype == e.dtype == np.int64 and len(row)
+    assert x.dtype == (np.int64 if n <= SCAN_CEILING else object)
 
 
 def test_list_decode_needs_no_dedupe_sort(monkeypatch):
@@ -429,7 +493,7 @@ def test_list_decode_needs_no_dedupe_sort(monkeypatch):
     for yv in range(1 << 8):
         y = Word(8, yv)
         assert list_decode(y, p).candidates == list_decode_brute(y, p).candidates, y
-    x = W("1101" * 18)  # n = 72: the Python-int path
+    x = W("1101" * 18)  # n = 72: words past int64
     y = apply_del_sub(x, ErrorEvent(5, 40))
     assert (x, canonical_witness(x, y)) in list_decode(y, params_of(x)).candidates
 
@@ -506,9 +570,8 @@ def test_more_than_two_matches_is_fatal(monkeypatch):
 def test_list_decode_refuses_a_third_candidate(monkeypatch):
     """_collect's bound holds on list_decode's own path: a kernel that
     lists three candidates raises ListBoundError."""
-    def three_hits(values, bits, p, drop):
-        return (np.zeros(3, dtype=np.intp), np.array([X1.value, XP1.value, 5], dtype=np.int64),
-                np.array([6, 1, 2]), np.array([8, 3, 4]))
+    def three_hits(symbols, p, drop):
+        return np.zeros(3, dtype=np.intp), np.array([6, 1, 2]), np.array([8, 3, 4])
 
     monkeypatch.setattr(decoder_module, "_decode_class", three_hits)
     with pytest.raises(ListBoundError, match="3 codewords"):
