@@ -2,8 +2,9 @@
 
 The whole construction rests on three numbers per word: its weight, the
 classic VT checksum f1 = sum(i * x_i), and the second-order checksum
-f2 = sum(i(i+1)/2 * x_i).  This script computes them both ways, then
-shows the suffix-difference vectors of the bundled scenario pairs.
+f2 = sum(i(i+1)/2 * x_i).  This script computes them, reduces them to the
+word's residue class, then shows the suffix-difference vectors of the
+bundled scenario pairs.
 """
 
 from delsub import (
@@ -12,17 +13,15 @@ from delsub import (
     params_of,
     sign_segments_ok,
     suffix_diff,
-    vt_syndrome,
-    vt_syndrome_from_suffix_sums,
+    wt_f1_f2,
 )
 
 x = Word.from_text("1101101000101110")
-print(f"word      : {x}  (n={x.n}, weight {x.weight})")
-for j in (1, 2, 3):
-    direct = vt_syndrome(x, j)
-    rearranged = vt_syndrome_from_suffix_sums(x, j)
-    print(f"f{j}        : {direct}  (suffix-sum route: {rearranged})")
-print(f"residues  : {params_of(x)}")
+wt, f1, f2 = wt_f1_f2(x.value, x.n)
+print(f"word      : {x}  (n={x.n}, weight {wt})")
+print(f"f1        : {f1}  (sum of i over the 1-bits)")
+print(f"f2        : {f2}  (sum of i(i+1)/2 over the 1-bits)")
+print(f"residues  : {params_of(x)}  (weight mod 4, f1 mod 2n, f2 mod 2n^2)")
 print()
 
 # Two words agreeing on all three residues are hard to confuse: their

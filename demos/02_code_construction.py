@@ -7,23 +7,29 @@ its redundancy stays within 3 log2(n) + 4.  The class sizes are the
 coefficients of prod_i (1 + t^(1, i, i(i+1)/2)): the first floor(log2 n^3)
 factors are expanded by counting the residues of every prefix, and each
 later one is one pass over the 16n^3 counters, so they are all found
-without visiting a single word.
+without visiting a single word.  At n = 16 the script first counts the
+classes by definition, one word at a time, and choose_params must agree.
 """
 
 import time
 
-from delsub import bucket_counts, choose_params, enumerate_code, redundancy_table
+import numpy as np
 
+from delsub import Word, choose_params, codeword_values, params_of, redundancy_table
+
+# By definition first: the class of every non-constant 16-bit word, one at a time.
 n = 16
-counts = bucket_counts(n)
+classes = [params_of(Word(n, v)).bucket_index for v in range(1, (1 << n) - 1)]
+counts = np.bincount(classes, minlength=16 * n**3)
 print(f"n={n}: {counts.size} residue classes, sizes sum to {counts.sum()} = 2^{n} - 2")
 print(f"class sizes: min {counts.min()}, mean {counts.mean():.3f}, max {counts.max()}")
 
 params, stats = choose_params(n)
+assert stats.size == counts.max() and params.bucket_index == counts.argmax()
 print(f"winner: {params} with {stats.size} codewords, redundancy {stats.redundancy:.4f}")
 print("first few codewords:")
-for w in list(enumerate_code(params))[:6]:
-    print(f"  {w}")
+for v in codeword_values(params)[:6].tolist():
+    print(f"  {Word(n, v)}")
 print()
 
 print(f"{'n':>4} {'size':>8} {'redundancy':>11} {'bound':>8} {'margin':>7}")

@@ -8,24 +8,25 @@ word is always one of them.
 
 from delsub import (
     Word,
+    apply_del_sub,
     choose_params,
-    enumerate_code,
+    codeword_values,
     error_ball,
-    iter_corruptions,
+    iter_events,
     list_decode,
     list_decode_brute,
 )
 
 params, stats = choose_params(12)
-code = list(enumerate_code(params))
 print(f"{params}: {stats.size} codewords")
 
-x = code[0]
+x = Word(12, int(codeword_values(params)[0]))
 print(f"transmitting {x}; its corruption ball holds {len(error_ball(x))} distinct words")
 
 worst = 0
 brute_cost = tested = 0
-for event, received in iter_corruptions(x):
+for event in iter_events(x.n):
+    received = apply_del_sub(x, event)
     result = list_decode(received, params)
     brute = list_decode_brute(received, params)
     assert result.candidates == brute.candidates, "the fast decoder must not change the answer"

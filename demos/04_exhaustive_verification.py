@@ -12,7 +12,7 @@ from delsub import (
     suffix_diff,
     verify_sign_split,
     verify_weight_deltas,
-    vt_syndrome,
+    wt_f1_f2,
 )
 
 # One report per length lists the class once and covers its balls once.
@@ -38,7 +38,7 @@ for n in (10, 12):
 
 # The relaxed reading is genuinely weaker.  Smallest counterexample:
 x, xp = Word.from_text("000110"), Word.from_text("110001")
+(_, f1, f2), (_, f1p, f2p) = wt_f1_f2(x.value, x.n), wt_f1_f2(xp.value, xp.n)
 print()
-print(f"x={x} x'={xp}: f1 {vt_syndrome(x, 1)}={vt_syndrome(xp, 1)}, "
-      f"f2 {vt_syndrome(x, 2)}={vt_syndrome(xp, 2)}, u={suffix_diff(x, xp)}")
+print(f"x={x} x'={xp}: f1 {f1}={f1p}, f2 {f2}={f2p}, u={suffix_diff(x, xp)}")
 print("u splits into sign-constant halves only if u_1 is left out of the first segment.")

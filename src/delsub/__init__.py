@@ -16,12 +16,8 @@ from .channel import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
-    WeightDeltaClass,
-    WeightWindowError,
     apply_del_sub,
-    classify_weight_delta,
     error_ball,
-    iter_corruptions,
     iter_events,
     validate_event,
 )
@@ -30,7 +26,6 @@ from .code import (
     SCAN_CEILING,
     CodeParams,
     CodeStats,
-    bucket_counts,
     choose_params,
     codeword_values,
     enumerate_code,
@@ -50,8 +45,6 @@ from .syndromes import (
     SuffixDiff,
     sign_segments_ok,
     suffix_diff,
-    vt_syndrome,
-    vt_syndrome_from_suffix_sums,
     wt_f1_f2,
 )
 from .verifier import (

@@ -12,16 +12,12 @@ from .words import Word, _check_length, delete_bit, flip_bit
 __all__ = [
     "Substitution",
     "ErrorEvent",
-    "WeightDeltaClass",
-    "WeightWindowError",
     "WEIGHT_DELTA_TABLE",
     "CANONICAL_CLASS_BY_DELTA",
     "validate_event",
     "apply_del_sub",
     "iter_events",
-    "iter_corruptions",
     "error_ball",
-    "classify_weight_delta",
 ]
 
 
@@ -38,18 +34,6 @@ class ErrorEvent(NamedTuple):
 
     d: int
     e: int | None = None
-
-
-class WeightDeltaClass(NamedTuple):
-    """Weight drop wt(x) - wt(y) and the symbol values it pins down."""
-
-    delta: int
-    deleted_value: int
-    substitution: Substitution
-
-
-class WeightWindowError(ValueError):
-    """The reconstructed original weight is impossible for the word length."""
 
 
 # wt(x) - wt(y) for each (deleted symbol, substitution) combination.
@@ -107,14 +91,6 @@ def iter_events(n: int) -> Iterator[ErrorEvent]:
         for e in range(1, n + 1):
             if e != d:
                 yield ErrorEvent(d, e)
-
-
-def iter_corruptions(x: Word) -> Iterator[tuple[ErrorEvent, Word]]:
-    """Every (event, corrupted word) pair, with multiplicity."""
-    if x.n < 2:
-        raise ValueError(f"corruption needs length >= 2, got n={x.n}")
-    for ev in iter_events(x.n):
-        yield ev, Word(x.n - 1, _corrupted(x.value, x.n, ev))
 
 
 def _packed_deletions(values: Sequence[int], n: int) -> tuple[np.ndarray, np.uint64]:
@@ -226,29 +202,7 @@ def _weight_drop(c0, wt_y):
     """The one drop in {-1, 0, 1, 2} that takes received weight wt_y to c0 mod 4.
 
     Elementwise on integer arrays, since numpy's % floors as Python's does.
+    The decoder and table1 both read each drop's symbols through
+    CANONICAL_CLASS_BY_DELTA.
     """
     return (c0 - wt_y + 1) % 4 - 1
-
-
-def classify_weight_delta(c0: int, wt_y: int, n: int) -> WeightDeltaClass:
-    """Recover the corruption pattern from the received weight.
-
-    Exactly one of wt_y - 1 .. wt_y + 2 is congruent to c0 mod 4; that
-    value must be the original weight, and the implied drop pins the
-    deleted symbol and the substitution direction.  Raises
-    WeightWindowError when the recovered weight cannot occur in an n-bit
-    word.
-    """
-    if not 0 <= c0 < 4:
-        raise ValueError(f"weight residue must lie in [0, 4), got {c0}")
-    if wt_y < 0:
-        raise ValueError(f"received weight must be nonnegative, got {wt_y}")
-    delta = _weight_drop(c0, wt_y)
-    wt_x = wt_y + delta
-    if not 0 <= wt_x <= n:
-        raise WeightWindowError(
-            f"no {n}-bit word has weight {wt_x} "
-            f"(received weight {wt_y}, weight residue {c0})"
-        )
-    deleted, sub = CANONICAL_CLASS_BY_DELTA[delta]
-    return WeightDeltaClass(delta, deleted, sub)

@@ -22,7 +22,6 @@ __all__ = [
     "params_of",
     "is_codeword",
     "matches_value",
-    "bucket_counts",
     "choose_params",
     "codeword_values",
     "enumerate_code",
@@ -182,21 +181,12 @@ def _class_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def bucket_counts(n: int) -> np.ndarray:
-    """Size of every residue class as int64, in _class_sizes' flat layout.
-
-    The one int64 copy of the class table (for n <= 31); the package's own
-    callers read _class_sizes directly.
-    """
-    return _class_sizes(n).astype(np.int64, copy=False)
-
-
 def choose_params(n: int) -> tuple[CodeParams, CodeStats]:
     """Largest residue class at length n; ties break to the smallest triple.
 
     The 16n^3 classes partition {0,1}^n minus the constant words, so the
     winner holds at least (2^n - 2) / 16n^3 words.  Reads the class table
-    in its own dtype (_class_sizes), with no int64 copy.
+    in its own dtype (_class_sizes): int32 cells up to n = 31.
     """
     sizes = _class_sizes(n)
     best = int(np.argmax(sizes))  # first maximum = smallest (c0, c1, c2)

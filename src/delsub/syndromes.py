@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .words import Word, get_bit
+from .words import Word
 
 __all__ = [
     "SuffixDiff",
     "wt_f1_f2",
-    "vt_syndrome",
-    "vt_syndrome_from_suffix_sums",
     "suffix_diff",
     "sign_segments_ok",
 ]
@@ -42,42 +40,21 @@ def wt_f1_f2(value: int, n: int) -> tuple[int, int, int]:
     return wt, f1, f2
 
 
-def vt_syndrome(x: Word, j: int) -> int:
-    """j-th order VT syndrome, exact: the coefficient of x_i is 1^(j-1) + ... + i^(j-1).
-
-    f1 is the classic VT checksum (coefficient i), f2 its second-order
-    analogue (coefficient i(i+1)/2).
-    """
-    if j < 1:
-        raise ValueError(f"syndrome order must be >= 1, got {j}")
-    coeff = 0
-    total = 0
-    for i in range(1, x.n + 1):
-        coeff += i ** (j - 1)
-        if get_bit(x.value, x.n, i):
-            total += coeff
-    return total
-
-
 def _suffix_weights(value: int, n: int) -> list[int]:
-    """s_1..s_n of a packed n-bit value: s_i is the weight of positions i..n."""
+    """s_1..s_n of a packed n-bit value: s_i is the weight of positions i..n.
+
+    suffix_diff and the sign scan (verifier.verify_sign_split) read it.
+    """
     return [(value & ((1 << k) - 1)).bit_count() for k in range(n, 0, -1)]
 
 
 def _power_sum(s: Sequence[int], j: int) -> int:
-    """Sum of s_i * i^(j-1): f_j from suffix weights s, or f_j(x) - f_j(x2) from their u."""
-    return sum(w * i ** (j - 1) for i, w in enumerate(s, 1))
+    """Sum of s_i * i^(j-1): f_j from suffix weights s, or f_j(x) - f_j(x2) from their u.
 
-
-def vt_syndrome_from_suffix_sums(x: Word, j: int) -> int:
-    """Same syndrome from the rearranged sum: (suffix weight from i) * i^(j-1).
-
-    The sum the sign scan buckets words by (it calls _power_sum on each
-    word's _suffix_weights directly), cross-checked against vt_syndrome.
+    f_j gives x_i the coefficient 1^(j-1) + ... + i^(j-1); summed by suffix
+    instead, it is this.  The sign scan buckets words by it for j = 1..m+1.
     """
-    if j < 1:
-        raise ValueError(f"syndrome order must be >= 1, got {j}")
-    return _power_sum(_suffix_weights(x.value, x.n), j)
+    return sum(w * i ** (j - 1) for i, w in enumerate(s, 1))
 
 
 def suffix_diff(x: Word, x2: Word) -> SuffixDiff:

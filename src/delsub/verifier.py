@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import (
+    CANONICAL_CLASS_BY_DELTA,
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
@@ -33,7 +34,7 @@ from .channel import (
     _corrupted,
     _packed_deletions,
     _substitution_witnesses,
-    classify_weight_delta,
+    _weight_drop,
     iter_events,
 )
 from .code import CodeParams, CodeStats, _class_sizes, _random_members, choose_params, codeword_values
@@ -293,8 +294,9 @@ def verify_weight_deltas(n: int) -> int:
     Brute force over every word and every event: the weight drop must
     match the table row of the event's kind (deleted symbol, substitution),
     and for every non-constant word each reachable received word must also
-    be reachable by an event of the kind its received weight implies.
-    Returns the number of violations.
+    be reachable by an event of the kind its received weight implies: its
+    _weight_drop read through CANONICAL_CLASS_BY_DELTA, the lookup the
+    decoder reads.  Returns the number of violations.
     """
     _check_n("table1", n)
     events = list(iter_events(n))
@@ -311,8 +313,7 @@ def verify_weight_deltas(n: int) -> int:
         if v == 0 or v == (1 << n) - 1:
             continue  # constant words are exempt from the re-expression clause
         for y, seen in kinds.items():
-            cls = classify_weight_delta(wt_x & 3, y.bit_count(), n)
-            violations += (cls.deleted_value, cls.substitution) not in seen
+            violations += CANONICAL_CLASS_BY_DELTA[_weight_drop(wt_x & 3, y.bit_count())] not in seen
     return violations
 
 

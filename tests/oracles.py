@@ -1,13 +1,123 @@
-"""Big-int closed forms of the corruption ball and the witnesses, kept as test oracles.
+"""Independent test oracles: each fact delsub computes, by definition or on Python ints.
 
-delsub computes both facts on numpy arrays (channel._ball_keys and
-channel._substitution_witnesses); these are the same formulas on Python
-ints, exact at any length, and the tests check them in turn against the
-definitions (iter_corruptions, and deleting at every d).  canonical_witness
-names the one witness the decoders and the verifier's records report.
+delsub keeps one production route per fact; the tests check each against
+an oracle here.
+
+- vt_syndrome sums the j-th order VT syndrome by its definition, and
+  vt_syndrome_from_suffix_sums by suffix weight (the sum the sign scan
+  buckets words by); wt_f1_f2 and the scan are checked against them.
+- iter_corruptions lists every (event, received word) pair through
+  iter_events and apply_del_sub: the corruption ball by definition.
+- bucket_counts is the class table widened to int64, the dtype the
+  counting oracles compare in.
+- weight_drop and classify_weight_delta find the weight drop by trying
+  each of -1..2, the definition of channel._weight_drop's closed form.
+- ball_values and all_witnesses are the closed forms of channel._ball_keys
+  and channel._substitution_witnesses on Python ints, exact at any length,
+  checked in turn against iter_corruptions and deleting at every d;
+  canonical_witness names the one witness the decoders and the verifier's
+  records report.
 """
 
-from delsub import ErrorEvent, Word, delete_bit
+from typing import Iterator, NamedTuple
+
+import numpy as np
+
+from delsub import (
+    CANONICAL_CLASS_BY_DELTA,
+    ErrorEvent,
+    Substitution,
+    Word,
+    apply_del_sub,
+    delete_bit,
+    get_bit,
+    iter_events,
+)
+from delsub.code import _class_sizes
+from delsub.syndromes import _power_sum, _suffix_weights
+
+
+def vt_syndrome(x: Word, j: int) -> int:
+    """j-th order VT syndrome, exact: the coefficient of x_i is 1^(j-1) + ... + i^(j-1).
+
+    f1 is the classic VT checksum (coefficient i), f2 its second-order
+    analogue (coefficient i(i+1)/2).
+    """
+    if j < 1:
+        raise ValueError(f"syndrome order must be >= 1, got {j}")
+    coeff = 0
+    total = 0
+    for i in range(1, x.n + 1):
+        coeff += i ** (j - 1)
+        if get_bit(x.value, x.n, i):
+            total += coeff
+    return total
+
+
+def vt_syndrome_from_suffix_sums(x: Word, j: int) -> int:
+    """Same syndrome from the rearranged sum: (suffix weight from i) * i^(j-1).
+
+    The sum the sign scan buckets words by (it calls _power_sum on each
+    word's _suffix_weights directly), cross-checked against vt_syndrome.
+    """
+    if j < 1:
+        raise ValueError(f"syndrome order must be >= 1, got {j}")
+    return _power_sum(_suffix_weights(x.value, x.n), j)
+
+
+def iter_corruptions(x: Word) -> Iterator[tuple[ErrorEvent, Word]]:
+    """Every (event, corrupted word) pair, with multiplicity."""
+    if x.n < 2:
+        raise ValueError(f"corruption needs length >= 2, got n={x.n}")
+    for ev in iter_events(x.n):
+        yield ev, apply_del_sub(x, ev)
+
+
+def bucket_counts(n: int) -> np.ndarray:
+    """Size of every residue class as int64, in the flat (c0, c1, c2) layout of bucket_index."""
+    return _class_sizes(n).astype(np.int64, copy=False)
+
+
+class WeightDeltaClass(NamedTuple):
+    """Weight drop wt(x) - wt(y) and the symbol values it pins down."""
+
+    delta: int
+    deleted_value: int
+    substitution: Substitution
+
+
+class WeightWindowError(ValueError):
+    """The reconstructed original weight is impossible for the word length."""
+
+
+def weight_drop(c0: int, wt_y: int) -> int:
+    """The one d in -1..2 with wt_y + d = c0 mod 4, found by trying each."""
+    (drop,) = [d for d in range(-1, 3) if (wt_y + d) % 4 == c0]
+    return drop
+
+
+def classify_weight_delta(c0: int, wt_y: int, n: int) -> WeightDeltaClass:
+    """Recover the corruption pattern from the received weight.
+
+    Exactly one of wt_y - 1 .. wt_y + 2 is congruent to c0 mod 4; that
+    value must be the original weight, and the implied drop pins the
+    deleted symbol and the substitution direction.  Raises
+    WeightWindowError when the recovered weight cannot occur in an n-bit
+    word.
+    """
+    if not 0 <= c0 < 4:
+        raise ValueError(f"weight residue must lie in [0, 4), got {c0}")
+    if wt_y < 0:
+        raise ValueError(f"received weight must be nonnegative, got {wt_y}")
+    delta = weight_drop(c0, wt_y)
+    wt_x = wt_y + delta
+    if not 0 <= wt_x <= n:
+        raise WeightWindowError(
+            f"no {n}-bit word has weight {wt_x} "
+            f"(received weight {wt_y}, weight residue {c0})"
+        )
+    deleted, sub = CANONICAL_CLASS_BY_DELTA[delta]
+    return WeightDeltaClass(delta, deleted, sub)
 
 
 def ball_values(value: int, n: int) -> set[int]:

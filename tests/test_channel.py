@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,15 +9,19 @@ from delsub import (
     WEIGHT_DELTA_TABLE,
     ErrorEvent,
     Substitution,
-    WeightWindowError,
     Word,
     apply_del_sub,
-    classify_weight_delta,
     error_ball,
-    iter_corruptions,
     iter_events,
 )
-from oracles import ball_values
+from delsub.channel import _weight_drop
+from oracles import (
+    WeightWindowError,
+    ball_values,
+    classify_weight_delta,
+    iter_corruptions,
+    weight_drop,
+)
 from strategies import words
 
 W = Word.from_text
@@ -155,6 +160,17 @@ def test_classify_recovers_the_unique_window_value(c0, wt_y, n):
     assert cls.delta in (-1, 0, 1, 2)
     assert (wt_y + cls.delta) % 4 == c0
     assert (cls.deleted_value, cls.substitution) == CANONICAL_CLASS_BY_DELTA[cls.delta]
+
+
+def test_weight_drop_matches_the_definition():
+    # On Python ints, as list_decode and table1 call it, and elementwise on
+    # one int64 array of received weights, as _decode_rows calls it.
+    wt_y = np.arange(131, dtype=np.int64)
+    for c0 in range(4):
+        expected = [weight_drop(c0, w) for w in range(131)]
+        assert [_weight_drop(c0, w) for w in range(131)] == expected
+        got = _weight_drop(c0, wt_y)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 @given(corruptions())

@@ -16,7 +16,6 @@ from delsub import (
     CodeParams,
     CodeStats,
     Word,
-    bucket_counts,
     choose_params,
     codeword_values,
     enumerate_code,
@@ -38,6 +37,7 @@ from delsub.code import (
     _random_members,
     _suffix_runs,
 )
+from oracles import bucket_counts
 from strategies import words
 
 W = Word.from_text
@@ -277,7 +277,7 @@ def test_count_memory_peak():
 
 def test_choose_params_reads_the_class_table_in_its_own_dtype():
     # int32 cells up to n = 31: choose_params argmaxes them in place, and
-    # only bucket_counts widens them to int64.
+    # only the oracle bucket_counts widens them to int64.
     for n in (2, 24, 31, 32, 40):
         sizes = _class_sizes(n)
         assert sizes.dtype == (np.int32 if n <= 31 else np.int64)

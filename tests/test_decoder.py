@@ -12,11 +12,9 @@ from delsub import (
     CodeParams,
     ErrorEvent,
     ListBoundError,
-    WeightWindowError,
     Word,
     apply_del_sub,
     choose_params,
-    classify_weight_delta,
     codeword_values,
     delete_bit,
     error_ball,
@@ -26,10 +24,15 @@ from delsub import (
     list_decode,
     list_decode_brute,
     params_of,
-    vt_syndrome,
 )
 from delsub.code import _random_members
-from oracles import all_witnesses, canonical_witness
+from oracles import (
+    WeightWindowError,
+    all_witnesses,
+    canonical_witness,
+    classify_weight_delta,
+    vt_syndrome,
+)
 
 W = Word.from_text
 

@@ -32,6 +32,40 @@ def test_all_names_exist_and_are_reexported(module):
         )
 
 
+# Oracle-only routes: tests/oracles.py holds them, and no delsub module may.
+MOVED_TO_ORACLES = {
+    "vt_syndrome",
+    "vt_syndrome_from_suffix_sums",
+    "iter_corruptions",
+    "bucket_counts",
+    "classify_weight_delta",
+    "WeightDeltaClass",
+    "WeightWindowError",
+}
+
+
+def _demo_names() -> set[str]:
+    """Each name a demos/*.py script imports from delsub, read from its syntax tree."""
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    names = set()
+    for demo in sorted(demos.glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "delsub":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_module_holds_an_oracle_route_and_demos_read_declared_names():
+    for module in [delsub, *LIBRARY, importlib.import_module("delsub.cli")]:
+        held = set(vars(module)) | set(getattr(module, "__all__", ()))
+        assert not held & MOVED_TO_ORACLES, f"{module.__name__} holds {sorted(held & MOVED_TO_ORACLES)}"
+    assert not hasattr(delsub, "__all__")  # the package re-exports its modules' __all__ only
+    declared = set().union(*(module.__all__ for module in LIBRARY))
+    names = _demo_names()
+    assert names
+    assert names <= declared, f"demos import undeclared {sorted(names - declared)}"
+
+
 def _bench_worker_names() -> set[tuple[str, str]]:
     """(module, name) of each delsub.<module>.<name> chain and from-import in bench/worker.py.
 

@@ -10,8 +10,8 @@ from delsub import (
     replay,
     sign_segments_ok,
     suffix_diff,
-    vt_syndrome,
 )
+from oracles import vt_syndrome
 
 
 def test_three_scenarios_bundled():

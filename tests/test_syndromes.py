@@ -7,10 +7,9 @@ from delsub import (
     Word,
     sign_segments_ok,
     suffix_diff,
-    vt_syndrome,
-    vt_syndrome_from_suffix_sums,
     wt_f1_f2,
 )
+from oracles import vt_syndrome, vt_syndrome_from_suffix_sums
 from strategies import words
 
 W = Word.from_text

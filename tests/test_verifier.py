@@ -15,7 +15,6 @@ from delsub import (
     CodeParams,
     ErrorEvent,
     Word,
-    bucket_counts,
     choose_params,
     classify_case,
     codeword_values,
@@ -35,7 +34,6 @@ from delsub import (
     suffix_diff,
     verify_sign_split,
     verify_weight_deltas,
-    vt_syndrome,
 )
 from delsub.channel import (
     CANONICAL_CLASS_BY_DELTA,
@@ -58,7 +56,7 @@ from delsub.verifier import (
     _deletion_balls_disjoint,
     _splittable,
 )
-from oracles import all_witnesses, ball_values, canonical_witness
+from oracles import all_witnesses, ball_values, bucket_counts, canonical_witness, vt_syndrome
 
 W = Word.from_text
 

@@ -301,9 +301,16 @@ MUTANTS = (
     Mutant(
         "table1-drops-the-re-expression-test",
         "verifier.py",
-        "violations += (cls.deleted_value, cls.substitution) not in seen",
+        "violations += CANONICAL_CLASS_BY_DELTA[_weight_drop(wt_x & 3, y.bit_count())] not in seen",
         "violations += 0",
         ("test_verifier.py::test_weight_deltas_count_a_broken_canonical_class",),
+    ),
+    Mutant(
+        "table1-reads-a-shifted-drop",
+        "verifier.py",
+        "_weight_drop(wt_x & 3, y.bit_count())",
+        "_weight_drop((wt_x + 1) & 3, y.bit_count())",
+        ("test_verifier.py::test_weight_deltas_hold_up_to_n8",),
     ),
     Mutant(
         "table1-without-the-constant-word-exemption",
