@@ -101,16 +101,31 @@ def list_decode_brute(y: Word, p: CodeParams) -> DecodeResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_tables(n: int) -> np.ndarray:
-    """The kernel's per-length constants, int64 at every n.
+def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's per-length constants: four O(n) int64 arrays.
 
-    Column i of a (3, 2n) table: what a 1 at position i adds to (wt, f1,
-    f2), for i = 0..2n-1, every residue of f1 mod 2n.  Read-only, since
-    every caller shares it.
+    With T(i) = i(i+1)/2:
+    - terms, (3, n - 1): (1, q + 1, T(q + 1)) for received positions
+      q = 1..n-1, what y_q adds to (wt, f1, f2) once an insertion before it
+      moves it to q + 1;
+    - inserts, (2, n): (d, T(d)) for d = 1..n, what inserting a 1 at d
+      adds to (f1, f2);
+    - tri, (2n,): T(e) for e = 0..2n-1, every residue of f1 mod 2n;
+    - shift, (3n,): at index e - d + n, the step from the base word's
+      position e to its column of a padded symbol row: 0 for e < d, -1
+      for e > d, and n - 1 for e = d, which lands in the pad.
+    Read-only, since every caller shares them.
     """
     steps = np.array([_position_shift(i) for i in range(2 * n)], dtype=np.int64).T
-    steps.flags.writeable = False
-    return steps
+    tables = (
+        steps[:, 2 : n + 1].copy(),
+        steps[1:, 1 : n + 1].copy(),
+        steps[2].copy(),
+        np.repeat(np.array([0, n - 1, -1], dtype=np.int64), [n, 1, 2 * n - 1]),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _fits(weight, n):
@@ -149,46 +164,43 @@ def _decode_class(
 
     symbols are _symbol_rows' padded rows, and every array here is int64
     at every n.  The drop fixes the symbol b the deletion removed and the
-    symbol the substitution wrote.  Inserting b at d adds W + b*d to f1 and
-    F + W + b*d(d+1)/2 to f2, where W and F are y's weight and sum of
-    1-positions from position d on.  Flipping e back then moves f1 by -e
-    when it flips a 1 and by +e when it flips a 0, so the f1 residue mod 2n
-    names the one possible e (Levenshtein's VT deficiency argument), and
-    the f2 residue accepts or rejects it: O(1) per deletion.  Hits come by
-    row, then by ascending d (np.nonzero's row-major order), and
-    list_decode relies on it; one x may hit at several d.  The callers
-    rebuild x from (row, d, e).
+    symbol the substitution wrote.  Inserting b at d moves each y_q with
+    q >= d to position q + 1, and T(q + 1) - T(q) = q + 1, so the base word
+    has f1 = sum (q+1) y_q - sum_{q<d} y_q + b*d and f2 = sum T(q+1) y_q -
+    sum_{q<d} (q+1) y_q + b*T(d): one forward cumsum of the term rows gives
+    both at every d.  Flipping e back then moves f1 by -e when it flips a 1
+    and by +e when it flips a 0, so the f1 residue mod 2n names the one
+    possible e (Levenshtein's VT deficiency argument), and the f2 residue
+    accepts or rejects it: O(1) per deletion.  Hits come by row, then by
+    ascending d (np.nonzero's row-major order), and list_decode relies on
+    it; one x may hit at several d.  The callers rebuild x from (row, d, e).
     """
     n = p.n
     _, m1, m2 = _moduli(n)
-    steps = _kernel_tables(n)
-    _, d, tri = steps[:, 1 : n + 1]  # d = 1..n and d(d+1)/2
+    terms, inserts, tri, shift = _kernel_tables(n)
     inserted, back = _SYMBOLS[drop]
-    # sums[:, k, d - 1]: component k of (wt, f1, f2) over y's positions d..n-1.
+    # sums[:, k, j]: term row k summed over y's positions 1..j, for j = 0..n-1.
     sums = np.zeros((len(symbols), 3, n), dtype=np.int64)
-    np.cumsum((symbols[:, None, 1:n] * steps[:, 1:n])[..., ::-1], axis=2, out=sums[..., -2::-1])
-    w_from, f_from = sums[:, 0], sums[:, 1]
-    f1 = f_from[:, :1] + w_from
-    f1 -= p.c1
-    f2 = sums[:, 2, :1] + f_from
-    f2 += w_from
-    f2 -= p.c2
+    np.cumsum(symbols[:, None, 1:n] * terms, axis=2, out=sums[..., 1:])
+    # f[:, :, d - 1]: the base word's (f1, f2) less (c1, c2), from the
+    # shifted totals less the prefixes before d.
+    f = (sums[:, 1:, -1:] - [[p.c1], [p.c2]]) - sums[:, :2]
     if inserted:
-        f1 += d
-        f2 += tri
+        f += inserts
+    f1, f2 = f[:, 0], f[:, 1]
     e = f1 if back else np.negative(f1, out=f1)
     e %= m1
-    # The base word's symbol at e is y's at e before d and at e - 1 after
-    # it.  e == d reads pad column 0, as does e = 0, and an e past n reads
-    # pad past column n - 1: none of them hits.
-    at = e - (e > d)
-    at[e == d] = 0
+    # The base word's symbol at e sits in y's column e before d and e - 1
+    # after it; e == d, e = 0 and e > n read pad, which no hit matches.
+    at = e - inserts[0]
+    at += n
+    at = shift[at] + e
     at += 2 * n * np.arange(len(symbols))[:, None]
     hit = symbols.ravel()[at] == back
     if back:
-        f2 -= steps[2, e]
+        f2 -= tri[e]
     else:
-        f2 += steps[2, e]
+        f2 += tri[e]
     f2 %= m2
     hit &= f2 == 0
     row, col = np.nonzero(hit)

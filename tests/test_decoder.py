@@ -25,7 +25,8 @@ from delsub import (
     list_decode_brute,
     params_of,
 )
-from delsub.code import _random_members
+from delsub.code import _class_sizes, _random_members, params_from_bucket
+from delsub.syndromes import _position_shift
 from oracles import (
     WeightWindowError,
     all_witnesses,
@@ -369,21 +370,37 @@ def test_decode_rows_of_no_fitting_word_are_empty(n):
         assert x.dtype == word, (n, ys)
 
 
+def _decode_rows_match_the_ball(p):
+    """Check _decode_rows over all of {0,1}^(n-1) against the class's balls; return its hits."""
+    n = p.n
+    values = codeword_values(p)
+    dels, k = channel_module._packed_deletions(values, n)
+    keys = channel_module._ball_keys(n, dels, k)
+    row, x, d, e = decoder_module._decode_rows(np.arange(1 << (n - 1)), p)
+    assert np.array_equal(row, (keys >> k).astype(np.int64)), p
+    assert np.array_equal(x, values[keys & ((np.uint64(1) << k) - np.uint64(1))].astype(np.int64)), p
+    assert (e != d).all(), p
+    return row, x, d, e
+
+
 @pytest.mark.parametrize("n", [12, 16, 18])
 def test_decode_rows_of_every_received_word_match_the_ball(n):
     """Decoding all of {0,1}^(n-1) and covering the class's balls answer one
     question from opposite ends: the kernel's (row, x) are exactly the
     ball's (y, x), and each witness (d, e) has e != d and maps x to y."""
-    p, _ = choose_params(n)
-    values = codeword_values(p)
-    dels, k = channel_module._packed_deletions(values, n)
-    keys = channel_module._ball_keys(n, dels, k)
-    row, x, d, e = decoder_module._decode_rows(np.arange(1 << (n - 1)), p)
-    assert np.array_equal(row, (keys >> k).astype(np.int64))
-    assert np.array_equal(x, values[keys & ((np.uint64(1) << k) - np.uint64(1))].astype(np.int64))
-    assert (e != d).all()
+    row, x, d, e = _decode_rows_match_the_ball(choose_params(n)[0])
     for y, v, ev in zip(row.tolist(), x.tolist(), zip(d.tolist(), e.tolist())):
         assert channel_module._corrupted(v, n, ErrorEvent(*ev)) == y, (y, v, ev)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_decode_rows_of_every_received_word_match_the_ball_on_every_class(n):
+    """The same two ends on every non-empty class (245 at n = 8, 474 at
+    n = 9), so the kernel meets every residue pair, not only the best."""
+    classes = np.flatnonzero(_class_sizes(n))
+    assert len(classes) == {8: 245, 9: 474}[n]
+    for index in classes.tolist():
+        _decode_rows_match_the_ball(params_from_bucket(n, index))
 
 
 @given(wide_received(min_n=SCAN_CEILING + 1, max_n=200))
@@ -463,14 +480,17 @@ def test_symbol_rows_match_the_word_bits(n):
 
 @pytest.mark.parametrize("n", [24, 63, 130])
 def test_the_kernel_runs_on_int64_at_every_length(n):
-    """One dtype route: the kernel's step table, symbol rows, d and e are
-    int64 at every n, and only _decode_rows' x takes the values' dtype."""
+    """One dtype route: the kernel's tables, symbol rows, d and e are int64
+    at every n, and only _decode_rows' x takes the values' dtype.  Each
+    table is shared, so read-only, and O(n) in size."""
     if n > SCAN_CEILING:
         p, ys = _wide_stream(n, 60)
     else:
         p, _ = choose_params(n)
         ys = _mixed_stream(p, np.random.default_rng(n), 60)
-    assert decoder_module._kernel_tables(n).dtype == np.int64
+    for table in decoder_module._kernel_tables(n):
+        assert table.dtype == np.int64 and not table.flags.writeable, (n, table)
+        assert table.size <= 3 * n, (n, table.shape)  # O(n): no (n, 2n) table
     symbols = decoder_module._symbol_rows(ys, n)
     assert symbols.dtype == np.int64
     hits = 0
@@ -482,6 +502,32 @@ def test_the_kernel_runs_on_int64_at_every_length(n):
     row, x, d, e = decoder_module._decode_rows(ys, p)
     assert d.dtype == e.dtype == np.int64 and len(row)
     assert x.dtype == (np.int64 if n <= SCAN_CEILING else object)
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 63, 130])
+def test_kernel_tables_match_their_definitions(n):
+    """The term and insertion rows are _position_shift's, and the shift
+    table sends the base word's position e, after inserting at d, to the
+    padded symbol column insert_bit takes it from: a pad column when e = d,
+    e = 0 or e > n, since no symbol there can be flipped."""
+    terms, inserts, tri, shift = decoder_module._kernel_tables(n)
+    assert terms.tolist() == [list(r) for r in zip(*(_position_shift(q + 1) for q in range(1, n)))]
+    assert inserts.tolist() == [list(r) for r in zip(*(_position_shift(d)[1:] for d in range(1, n + 1)))]
+    assert tri.tolist() == [_position_shift(e)[2] for e in range(2 * n)]
+    for d in range(1, n + 1):
+        # source[e]: the received position q that lands on position e, from a
+        # word whose only 1 is at q.
+        source = {}
+        for q in range(1, n):
+            base = insert_bit(1 << (n - 1 - q), n - 1, d, 0)
+            source[n - base.bit_length() + 1] = q
+        assert sorted(source) == [e for e in range(1, n + 1) if e != d], (n, d)
+        for e in range(2 * n):
+            column = e + int(shift[e - d + n])
+            if e in source:
+                assert column == source[e], (n, d, e)
+            else:
+                assert column == 0 or n <= column < 2 * n, (n, d, e, column)
 
 
 def test_list_decode_needs_no_dedupe_sort(monkeypatch):

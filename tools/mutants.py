@@ -157,8 +157,8 @@ MUTANTS = (
     Mutant(
         "decoder-kernel-flips-position-d",
         "decoder.py",
-        "    at[e == d] = 0\n",
-        "",
+        "[0, n - 1, -1]",
+        "[0, 0, -1]",
         (
             "test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",
             "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball",
@@ -181,11 +181,25 @@ MUTANTS = (
         ("test_decoder.py::test_decoders_refuse_the_constant_words",),
     ),
     Mutant(
-        "decoder-kernel-f1-without-the-suffix-weight",
+        "decoder-kernel-f1-without-the-prefix-weight",
         "decoder.py",
-        "f1 = f_from[:, :1] + w_from",
-        "f1 = f_from[:, :1] + 0 * w_from",
+        "- sums[:, :2]\n",
+        "- sums[:, :2] * [[0], [1]]\n",
         ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-prefix-includes-position-d",
+        "decoder.py",
+        "- sums[:, :2]\n",
+        "- np.append(sums[:, :2, 1:], sums[:, :2, -1:], axis=2)\n",
+        ("test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-no-shift-after-d",
+        "decoder.py",
+        "[0, n - 1, -1]",
+        "[0, n - 1, 0]",
+        ("test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball_on_every_class",),
     ),
     Mutant(
         "decoder-kernel-ignores-the-flip-sign",
