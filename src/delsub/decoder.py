@@ -167,13 +167,16 @@ def _decode_class(
     symbol the substitution wrote.  Inserting b at d moves each y_q with
     q >= d to position q + 1, and T(q + 1) - T(q) = q + 1, so the base word
     has f1 = sum (q+1) y_q - sum_{q<d} y_q + b*d and f2 = sum T(q+1) y_q -
-    sum_{q<d} (q+1) y_q + b*T(d): one forward cumsum of the term rows gives
-    both at every d.  Flipping e back then moves f1 by -e when it flips a 1
-    and by +e when it flips a 0, so the f1 residue mod 2n names the one
-    possible e (Levenshtein's VT deficiency argument), and the f2 residue
-    accepts or rejects it: O(1) per deletion.  Hits come by row, then by
-    ascending d (np.nonzero's row-major order), and list_decode relies on
-    it; one x may hit at several d.  The callers rebuild x from (row, d, e).
+    sum_{q<d} (q+1) y_q + b*T(d): one forward running sum of the term rows
+    gives both at every d.  Flipping e back then moves f1 by -e when it
+    flips a 1 and by +e when it flips a 0, so f1 - c1, negated for a 0,
+    names the one possible e mod 2n (Levenshtein's VT deficiency argument),
+    and f2 -/+ T(e) - c2 mod 2n^2 accepts or rejects it: O(1) per
+    deletion.  c1 and c2 enter as scalars in place, in the sign step and
+    after the T(e) step, so no (c1, c2) array is built.  Hits come by row,
+    then by ascending d (nonzero's row-major order), and list_decode relies
+    on it; one x may hit at several d.  The callers rebuild x from
+    (row, d, e).
     """
     n = p.n
     _, m1, m2 = _moduli(n)
@@ -181,29 +184,36 @@ def _decode_class(
     inserted, back = _SYMBOLS[drop]
     # sums[:, k, j]: term row k summed over y's positions 1..j, for j = 0..n-1.
     sums = np.zeros((len(symbols), 3, n), dtype=np.int64)
-    np.cumsum(symbols[:, None, 1:n] * terms, axis=2, out=sums[..., 1:])
-    # f[:, :, d - 1]: the base word's (f1, f2) less (c1, c2), from the
-    # shifted totals less the prefixes before d.
-    f = (sums[:, 1:, -1:] - [[p.c1], [p.c2]]) - sums[:, :2]
+    np.add.accumulate(symbols[:, None, 1:n] * terms, axis=2, out=sums[..., 1:])
+    # f[:, :, d - 1]: the base word's (f1, f2), from the shifted totals less
+    # the prefixes before d.
+    f = sums[:, 1:, -1:] - sums[:, :2]
     if inserted:
         f += inserts
     f1, f2 = f[:, 0], f[:, 1]
-    e = f1 if back else np.negative(f1, out=f1)
+    # e is f1 - c1 when the flip clears a 1 and c1 - f1 when it sets a 0.
+    if back:
+        f1 -= p.c1
+    else:
+        np.subtract(p.c1, f1, out=f1)
+    e = f1
     e %= m1
     # The base word's symbol at e sits in y's column e before d and e - 1
     # after it; e == d, e = 0 and e > n read pad, which no hit matches.
     at = e - inserts[0]
     at += n
-    at = shift[at] + e
+    at = shift[at]
+    at += e
     at += 2 * n * np.arange(len(symbols))[:, None]
     hit = symbols.ravel()[at] == back
     if back:
         f2 -= tri[e]
     else:
         f2 += tri[e]
+    f2 -= p.c2
     f2 %= m2
     hit &= f2 == 0
-    row, col = np.nonzero(hit)
+    row, col = hit.nonzero()
     return row, col + 1, e[row, col]
 
 

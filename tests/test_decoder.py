@@ -393,12 +393,13 @@ def test_decode_rows_of_every_received_word_match_the_ball(n):
         assert channel_module._corrupted(v, n, ErrorEvent(*ev)) == y, (y, v, ev)
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 10])
 def test_decode_rows_of_every_received_word_match_the_ball_on_every_class(n):
     """The same two ends on every non-empty class (245 at n = 8, 474 at
-    n = 9), so the kernel meets every residue pair, not only the best."""
+    n = 9, 906 at n = 10), so the kernel meets every residue pair, not only
+    the best."""
     classes = np.flatnonzero(_class_sizes(n))
-    assert len(classes) == {8: 245, 9: 474}[n]
+    assert len(classes) == {8: 245, 9: 474, 10: 906}[n]
     for index in classes.tolist():
         _decode_rows_match_the_ball(params_from_bucket(n, index))
 

@@ -204,9 +204,29 @@ MUTANTS = (
     Mutant(
         "decoder-kernel-ignores-the-flip-sign",
         "decoder.py",
-        "e = f1 if back else np.negative(f1, out=f1)",
-        "e = f1",
+        "np.subtract(p.c1, f1, out=f1)",
+        "f1 -= p.c1",
         ("test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",),
+    ),
+    Mutant(
+        "decoder-kernel-drops-c1",
+        "decoder.py",
+        "        f1 -= p.c1\n    else:\n        np.subtract(p.c1, f1, out=f1)\n",
+        "        pass\n    else:\n        np.negative(f1, out=f1)\n",
+        (
+            "test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",
+            "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball_on_every_class",
+        ),
+    ),
+    Mutant(
+        "decoder-kernel-drops-c2",
+        "decoder.py",
+        "    f2 -= p.c2\n",
+        "",
+        (
+            "test_decoder.py::test_decode_rows_match_the_brute_decoder_on_every_class",
+            "test_decoder.py::test_decode_rows_of_every_received_word_match_the_ball_on_every_class",
+        ),
     ),
     Mutant(
         "decoder-counts-the-deletions-of-a-constant-weight",
@@ -249,8 +269,8 @@ MUTANTS = (
     Mutant(
         "decoder-kernel-hits-in-descending-d",
         "decoder.py",
-        "    row, col = np.nonzero(hit)\n",
-        "    row, col = np.nonzero(hit[:, ::-1])\n    col = n - 1 - col\n",
+        "    row, col = hit.nonzero()\n",
+        "    row, col = hit[:, ::-1].nonzero()\n    col = n - 1 - col\n",
         ("test_decoder.py::test_one_row_hits_come_in_ascending_d",),
     ),
     # --- collisions and lemma2 (verifier)
