@@ -135,7 +135,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             yield f"{r.n:>4} {r.size:>10} {r.redundancy:>12.4f} {r.bound:>8.4f} {r.margin:>8.4f}"
 
     _emit(doc, args.format, lines)
-    return 0 if all(r.margin >= 0 for r in rows) else 1
+    # redundancy <= 3 log2 n + 4 exactly: the float columns are for display.
+    return 0 if all(r.size * 16 * r.n**3 >= 2**r.n for r in rows) else 1
 
 
 def cmd_examples(args: argparse.Namespace) -> int:

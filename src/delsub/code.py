@@ -256,7 +256,7 @@ def _find_runs(runs: _Runs, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def codeword_values(p: CodeParams) -> np.ndarray:
-    """All members of the class as packed values, ascending: a meet-in-the-middle join.
+    """All members of the class as one ascending int64 array: a meet-in-the-middle join.
 
     A word is a prefix i of the first a = n // 2 positions and a suffix j
     of the other b, position 1 the most significant bit of each, and its
@@ -282,7 +282,6 @@ def codeword_values(p: CodeParams) -> np.ndarray:
     rank += np.arange(total)
     values = np.repeat(np.arange(1 << a, dtype=np.int64) << b, count)
     values |= runs[0][rank]
-    values = values.view(np.uint64)
     # 0^n can only come first and 1^n last.
     lo = int(total > 0 and values[0] == 0)
     hi = total - int(total > 0 and values[-1] == (1 << n) - 1)

@@ -240,10 +240,10 @@ def _decode_rows(
     The route for many words, which smoke_report takes per draw batch: groups
     the words whose candidates' weight fits by weight drop, runs
     _decode_class once per drop on their symbol rows, and rebuilds each
-    hit's x from its row's value, vectorised.  Returns (row, x, d, e) with
-    rows ascending, x ascending within a row and, for each x, its canonical
-    witness.  The kernel is int64 at every n; x has the values' dtype,
-    int64 for n <= SCAN_CEILING and Python ints above.
+    hit's x from its row's value as list_decode does, vectorised.  Returns
+    (row, x, d, e) with rows ascending, x ascending within a row and, for
+    each x, its canonical witness.  The kernel is int64 at every n; x has
+    the values' dtype, int64 for n <= SCAN_CEILING and Python ints above.
     """
     n = p.n
     word = np.int64 if n <= SCAN_CEILING else object
@@ -257,8 +257,8 @@ def _decode_rows(
         rows = np.flatnonzero(fits & (drop == k))
         row, d, e = _decode_class(symbols[rows], p, k)
         row = rows[row]
-        x = insert_bit(values[row], n - 1, d.astype(word, copy=False), inserted)
-        x ^= 1 << (n - e).astype(word, copy=False)
+        base = insert_bit(values[row], n - 1, d.astype(word, copy=False), inserted)
+        x = flip_bit(base, n, e.astype(word, copy=False))
         hits.append((row, x, d, e))
     return _first_hits(*map(np.concatenate, zip(*hits)))
 

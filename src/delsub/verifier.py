@@ -78,7 +78,7 @@ class _Coverage:
     """One pass over a class's corruption balls."""
 
     max_list_size: int
-    # The colliding (y, x, x') as three uint64 arrays, one row per triple,
+    # The colliding (y, x, x') as three int64 arrays, one row per triple,
     # with x < x' and the rows ascending.
     collisions: tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -111,11 +111,12 @@ def _cover(n: int, values: Sequence[int], dels: np.ndarray, k: np.uint64) -> _Co
     take = np.ones((len(first), 3), dtype=bool)
     take[:, 1:] = three[:, None]
     member = (np.uint64(1) << k) - np.uint64(1)
-    xs = np.asarray(values, dtype=np.uint64)
-    lo = keys[(first[:, None] + _PAIR_OFFSETS[0])[take]] & member
-    hi = keys[(first[:, None] + _PAIR_OFFSETS[1])[take]] & member
-    y = np.repeat(ys[first], take.sum(axis=1)).astype(np.uint64)
-    return _Coverage(int(len(keys) > 0) + int(same.any()) + int(three.any()), (y, xs[lo], xs[hi]))
+    xs = np.asarray(values, dtype=np.int64)
+    lo, hi = (keys[(first[:, None] + at)[take]] for at in _PAIR_OFFSETS)
+    # A pair's y is its run's, read from the key of x; its int64 copy is exact.
+    y = np.right_shift(lo, k, out=np.empty(len(lo), dtype=np.int64), casting="same_kind")
+    size = int(len(keys) > 0) + int(same.any()) + int(three.any())
+    return _Coverage(size, (y, xs[lo & member], xs[hi & member]))
 
 
 # The ordering case by the ranges of e1 and e2, each 0 before d1, 1 between
@@ -158,13 +159,10 @@ def _collision_witnesses(n: int, cov: _Coverage, rows: int | None) -> tuple[_Wit
     """The substitution witnesses of x and of x' on the first rows collision rows (None: all).
 
     One _substitution_witnesses pass over both sides' rows, x's first,
-    split where x''s rows begin.  The int64 views are exact: x < 2^28 at
-    VERIFY_CEILING.
+    split where x''s rows begin.
     """
     y, xa, xb = (c[:rows] for c in cov.collisions)
-    row, d, e = _substitution_witnesses(
-        n, np.concatenate((xa, xb)).view(np.int64), np.concatenate((y, y)).view(np.int64)
-    )
+    row, d, e = _substitution_witnesses(n, np.concatenate((xa, xb)), np.concatenate((y, y)))
     split = np.searchsorted(row, len(y))
     return (row[:split], d[:split], e[:split]), (row[split:] - len(y), d[split:], e[split:])
 
@@ -202,7 +200,7 @@ def _collision_ordering(n: int, cov: _Coverage, wits: tuple[_Witnesses, _Witness
     every one of x' (wits, from _collision_witnesses on all rows), all
     collisions in one pass over int64 arrays.
     """
-    xa, xb = (c.astype(np.int64) for c in cov.collisions[1:])
+    xa, xb = cov.collisions[1:]
     (ra, da, ea), (rb, db, eb) = wits
     # Witness i of x repeats once per witness of x' in its row, and j walks
     # those, which start at first_b[row]: the cross product of every row.

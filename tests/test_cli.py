@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,49 @@ def test_check_and_decode_up_to_the_length_bound(capsys, command, received):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert f"n <= {SCAN_CEILING}" in err
+
+
+# The decode lines that CI's installed-entry-point step pins: (n, params,
+# received word, exit code, stdout).
+_DECODE_PINS = {
+    # n = 24 in the bench's class, one received word per weight drop: each
+    # drop takes its own inserted symbol and flip sign through the kernel.
+    "n24-drop-1": (
+        24, "0,6,142", "01100110100011110110110", 0,
+        '{"candidates": [{"word": "011001101000111100010110", "d": 17, "e": 19}], "count": 1}\n',
+    ),
+    "n24-drop0": (
+        24, "0,6,142", "10100100101101011100101", 0,
+        '{"candidates": [{"word": "101001001101101011000101", "d": 9, "e": 19}], "count": 1}\n',
+    ),
+    "n24-drop1": (
+        24, "0,6,142", "01001111100100001110100", 0,
+        '{"candidates": [{"word": "010011111000100001111100", "d": 10, "e": 21}], "count": 1}\n',
+    ),
+    "n24-drop2": (
+        24, "0,6,142", "10010110100000111100100", 0,
+        '{"candidates": [{"word": "100101101001001111001001", "d": 24, "e": 12}, '
+        '{"word": "100101101100000111101100", "d": 9, "e": 21}], "count": 2}\n',
+    ),
+    # n = 62, the top int64 length, where the 61 received bits fill 8 bytes.
+    "n62": (
+        62, "3,0,1232", "1011101110111011101110111011101110111011101110111011101110101", 0,
+        '{"candidates": [{"word": "11011101110111011101110111011101110111011101110111011101110111", '
+        '"d": 1, "e": 61}], "count": 1}\n',
+    ),
+    # n = 128: (1101)^32 under its own params with d = 5, e = 100.  list_decode
+    # decodes it, but the command keeps its SCAN_CEILING guard.
+    "n128-refused": (
+        128, "0,32,5152", "1101101110111011101110111011101110111011101110111011101110111011"
+        "101110111011101110111011101110111001101110111011101110111011101", 2, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, params, word, code, out", _DECODE_PINS.values(), ids=_DECODE_PINS)
+def test_decode_matches_the_entry_point_pins(capsys, n, params, word, code, out):
+    got = run(capsys, "decode", "--n", str(n), "--params", params, "--word", word)
+    assert got[:2] == (code, out)
 
 
 def test_decode_refuses_a_long_word_at_once(capsys):
@@ -388,6 +432,20 @@ def test_table_rows(capsys):
         assert set(row) == {"n", "size", "redundancy", "bound", "margin"}
         assert row["margin"] >= 0
     assert doc[2]["bound"] == 16.0
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_table_passes_exactly_from_the_bound_size(capsys, monkeypatch, n):
+    """table passes a class iff size * 16n^3 >= 2^n, tested on integers: the
+    size ceil(2^n / 16n^3) passes and one less fails, whatever the floats read."""
+    import delsub.cli as cli
+
+    bound = -(-(2**n) // (16 * n**3))
+    real = cli.redundancy_table
+    for size, code in ((bound, 0), (bound - 1, 1)):
+        monkeypatch.setattr(cli, "redundancy_table", lambda ns: [replace(r, size=size) for r in real(ns)])
+        got, doc = run_json(capsys, "table", "--n-list", str(n))
+        assert (got, doc[0]["size"]) == (code, size)
 
 
 def test_table_empty_n_list_is_usage_error(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import (
+    SCAN_CEILING,
     VERIFY_CEILING,
     CodeParams,
     ErrorEvent,
@@ -40,9 +41,12 @@ from delsub.channel import (
     WEIGHT_DELTA_TABLE,
     Substitution,
     _ball_keys,
+    _corrupted,
     _packed_deletions,
     _substitution_witnesses,
 )
+from delsub.code import _random_members
+from delsub.decoder import _decode_rows
 from delsub.syndromes import _mixed_starts
 from delsub.verifier import (
     _CASES,
@@ -227,7 +231,7 @@ def _covered(values, n):
 
 def _assert_cover_matches_oracle(values, n):
     cov = _covered(values, n)
-    assert all(c.dtype == np.uint64 for c in cov.collisions)
+    assert all(c.dtype == np.int64 for c in cov.collisions)
     assert (cov.max_list_size, _triples(cov)) == _cover_oracle(values, n)
     return cov
 
@@ -260,17 +264,35 @@ def test_cover_keeps_the_three_smallest_of_a_crowded_word():
 def test_coverage_widths_hold_through_the_verify_ceiling():
     """The coverage's fixed widths are exact at every length its checks take.
 
-    _cover copies y, n - 1 bits, to uint32; the ball keys y << k | i need
+    _cover scans y, n - 1 bits, as uint32; the ball keys y << k | i need
     n - 1 + k <= 64 bits, and k <= n since a class has fewer than 2^n
-    members; _collision_witnesses views x, n bits, and y as int64.  A
-    VERIFY_CEILING raised past n - 1 <= 32 or 2n - 1 <= 64 fails here
-    instead of truncating.
+    members; the members and the colliding (y, x, x'), n bits at most,
+    are int64.  A VERIFY_CEILING raised past n - 1 <= 32 or 2n - 1 <= 64
+    fails here instead of truncating.
     """
     top = max(_CHECK_RANGES[c][1] for c in ("list2", "lemma2", "deletion"))
     assert top == VERIFY_CEILING
     assert top - 1 <= np.iinfo(np.uint32).bits
     assert 2 * top - 1 <= np.iinfo(np.uint64).bits
     assert top < np.iinfo(np.int64).bits
+
+
+def test_words_are_int64_from_listing_to_lemma2():
+    """int64 is the one array type for words: the listed and the drawn
+    members, the colliding (y, x, x') and every decoded x up to SCAN_CEILING.
+    Only the packed ball keys are uint64."""
+    for n in (9, 16, 24):
+        p, _ = choose_params(n)
+        values = codeword_values(p)
+        dels, k = _packed_deletions(values, n)
+        cov = _cover(n, values, dels, k)
+        assert values.dtype == np.int64 and dels.dtype == np.uint64, n
+        assert len(cov.collisions[0]) and all(c.dtype == np.int64 for c in cov.collisions), n
+    for n in (9, 24, SCAN_CEILING):
+        p, _ = choose_params(n)
+        sent = next(_random_members(p, random.Random(n)))[:8]
+        _, x, _, _ = _decode_rows([_corrupted(v, n, ErrorEvent(1, n)) for v in sent.tolist()], p)
+        assert sent.dtype == x.dtype == np.int64 and len(x), n
 
 
 def _ball_keys_oracle(n, dels, k):

@@ -408,6 +408,14 @@ MUTANTS = (
             "test_cli.py::test_check_and_decode_up_to_the_length_bound",
         ),
     ),
+    # --- the table command's exact pass test (cli.cmd_table)
+    Mutant(
+        "cli-table-fails-a-class-at-the-bound",
+        "cli.py",
+        "r.size * 16 * r.n**3 >= 2**r.n",
+        "r.size * 16 * r.n**3 > 2**r.n",
+        ("test_cli.py::test_table_passes_exactly_from_the_bound_size",),
+    ),
     # --- class count, listing and sampling (code)
     Mutant(
         "fold-planes-ascending",
